@@ -59,7 +59,7 @@ fn main() {
     let total_timer = Timer::start(&clock);
     for _ in 0..runs {
         let t = Timer::start(&clock);
-        plan.run_into_profiled(&input, clips, &mut ws, &mut logits, &mut prof);
+        plan.run_batch_into_profiled(&input, clips, &mut ws, &mut logits, &mut prof);
         batch_hist.observe(t.elapsed_ns() as f64);
     }
     let wall_ns = total_timer.elapsed_ns();

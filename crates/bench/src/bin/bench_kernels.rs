@@ -1,13 +1,15 @@
 //! Kernel-backend comparison benchmark: times the packed 128×128
 //! single-clip forward of the paper's 12-layer network once per
-//! available XNOR kernel backend (scalar reference, portable SWAR,
-//! and whichever SIMD paths this CPU supports) and writes
-//! `BENCH_kernels.json`.
+//! available XNOR kernel backend (the scalar reference and whichever
+//! SIMD paths this CPU supports) and writes `BENCH_kernels.json`.
 //!
 //! Every backend is bit-identical by construction (and re-verified
 //! here against the scalar logits), so the numbers isolate pure
 //! inner-loop throughput: same plan, same geometry tables, same fused
-//! binarize-pack — only the popcount kernel changes.
+//! binarize-pack — only the popcount-GEMM kernel changes.  A single
+//! clip runs the same engine as a batch (GEMM interior plus
+//! bounds-checked border), so the batch-1 point of the batch-scaling
+//! series is the single-clip figure measured a second way.
 //!
 //! ```sh
 //! cargo run --release -p hotspot-bench --bin bench_kernels \
@@ -16,7 +18,11 @@
 //!
 //! `--quick` shrinks the run count for CI smoke use; `--check` exits
 //! nonzero if the auto-dispatched backend is slower than the scalar
-//! reference (a dispatch regression — picking SIMD should never lose).
+//! reference (a dispatch regression — picking SIMD should never lose),
+//! or if batch 16 costs more than 1.10× batch 1 per clip on it (the
+//! working-set blow-up that batch chunking prevents).
+//! `--profile-batch` prints per-layer time per clip at batch 1 and
+//! batch 16 on the dispatched backend.
 //! `--ref-ns N` records an external reference time (e.g. the pre-PR
 //! scalar path, measured from a checkout of the previous revision) so
 //! the JSON carries the cross-revision speedup too.  Cross-revision
@@ -144,12 +150,12 @@ fn main() {
         level_results.push((m, wall_ns as f64 / runs as f64, best as f64));
     }
 
-    // Batch scaling through the bit-sliced XNOR-GEMM tier: clips/sec
-    // at batch 1/4/16/64 per backend via `run_batch_into`.  Batch 1
-    // falls back to the per-item path (the tier needs 2+ clips), so
-    // the batch-1 point doubles as the series' single-clip baseline;
-    // larger batches amortize the dense B-repack across filters and
-    // residual levels and fill the vector lanes with whole GEMM tiles.
+    // Batch scaling: clips/sec at batch 1/4/16/64 per backend via
+    // `run_batch_into`.  Every batch size runs the same GEMM engine,
+    // chunked to a working-set budget, so the series shows what
+    // batching itself buys: per-batch overheads spread over more
+    // clips, and GEMM tiles filled across clips on the small late
+    // layers.
     let batch_sizes: &[usize] = if quick { &[1, 4, 16] } else { &[1, 4, 16, 64] };
     let max_batch = *batch_sizes.last().unwrap();
     let mut state = 0xba7c41_u32;
@@ -202,39 +208,42 @@ fn main() {
         }
     }
 
-    // `--profile-batch`: per-layer timing of the batched tier at batch
-    // 16 on the dispatched backend, next to the per-item path — shows
-    // which layers the GEMM tier pays off on and where the remaining
-    // time sits.
+    // `--profile-batch`: per-layer time per clip at batch 1 and batch
+    // 16 on the dispatched backend — shows which layers batching pays
+    // off on and where the remaining time sits.
     if profile_batch {
         let bs = 16.min(max_batch);
         let plan = packed.plan_with_backend((side, side), dispatch.active);
-        let inp = &batch_input[..bs * side * side];
-        let mut logits = vec![0.0f32; bs * 2];
         let mut ws = Workspace::new();
-        let mut per_item = plan.profiler();
-        plan.run_into_profiled(inp, bs, &mut ws, &mut logits, &mut per_item);
-        plan.run_into_profiled(inp, bs, &mut ws, &mut logits, &mut per_item);
-        let mut batched = plan.profiler();
-        plan.run_batch_into_profiled(inp, bs, &mut ws, &mut logits, &mut batched);
-        plan.run_batch_into_profiled(inp, bs, &mut ws, &mut logits, &mut batched);
+        let mut profile = |n: usize| {
+            let inp = &batch_input[..n * side * side];
+            let mut logits = vec![0.0f32; n * 2];
+            let mut prof = plan.profiler();
+            plan.run_batch_into(inp, n, &mut ws, &mut logits); // warm-up
+            for _ in 0..runs {
+                plan.run_batch_into_profiled(inp, n, &mut ws, &mut logits, &mut prof);
+            }
+            prof.report()
+        };
+        let single = profile(1);
+        let batched = profile(bs);
         println!(
-            "{:<16} {:>14} {:>14} {:>8}  (batch {bs}, {})",
+            "{:<16} {:>14} {:>14} {:>8}  (per clip, {})",
             "step",
-            "per_item_ns",
-            "batched_ns",
+            "batch1_ns",
+            format!("batch{bs}_ns"),
             "ratio",
             dispatch.active.name()
         );
-        // Chunked sub-batches record more calls per step, so compare
-        // totals (same clip count both sides).
-        for (a, b) in per_item.report().iter().zip(batched.report().iter()) {
+        for (a, b) in single.iter().zip(&batched) {
+            let a_ns = a.total_ns as f64 / runs as f64;
+            let b_ns = b.total_ns as f64 / (runs * bs) as f64;
             println!(
-                "{:<16} {:>14} {:>14} {:>7.2}x",
+                "{:<16} {:>14.0} {:>14.0} {:>7.2}x",
                 a.name,
-                a.total_ns,
-                b.total_ns,
-                a.total_ns as f64 / (b.total_ns.max(1)) as f64
+                a_ns,
+                b_ns,
+                a_ns / b_ns.max(1.0)
             );
         }
     }
@@ -381,27 +390,47 @@ fn main() {
             active.backend.name(),
             scalar_mean / active.mean_ns_per_clip
         );
-        // The batched GEMM tier must never lose to per-item execution
-        // on the dispatched backend at batch 16 — that would mean the
-        // dense repack costs more than the microkernels save.
-        let single = active.mean_ns_per_clip;
-        if let Some((_, _, mean16, _)) = batch_results
-            .iter()
-            .find(|(b, n, _, _)| *b == dispatch.active && *n == 16)
-        {
-            assert!(
-                *mean16 <= single,
-                "batch regression: {} batch-16 ({:.0} ns/clip) is slower \
-                 than single-clip ({:.0} ns/clip)",
-                dispatch.active.name(),
-                mean16,
-                single
-            );
-            println!(
-                "check ok: {} batch-16 is {:.2}x single-clip",
-                dispatch.active.name(),
-                single / mean16
-            );
-        }
+        // Batch 1 and batch 16 run the same engine and measure within
+        // noise of each other, so batch 16 may cost up to 10% more per
+        // clip (the tolerance scripts/bench_compare uses).  Past that,
+        // the chunked working set has blown up: an unchunked batch 16
+        // runs ~1.25-1.30x batch 1 per clip.  Each side times the same
+        // 16 clips (sixteen batch-1 runs, or one batch-16 run), in
+        // alternating pairs compared by median, so a slow phase of a
+        // shared host lands on both sides alike.
+        const BATCH_TOLERANCE: f64 = 1.10;
+        let plan = packed.plan_with_backend((side, side), dispatch.active);
+        let mut ws = Workspace::new();
+        let mut logits = vec![0.0f32; 16 * 2];
+        let clips = &batch_input[..16 * side * side];
+        let mut per_clip = |n: usize| {
+            let t = Timer::start(&clock);
+            for x in clips.chunks(n * side * side) {
+                plan.run_batch_into(x, n, &mut ws, &mut logits[..n * 2]);
+            }
+            t.elapsed_ns() as f64 / 16.0
+        };
+        per_clip(16); // warm-up
+        let (mut b1, mut b16): (Vec<f64>, Vec<f64>) =
+            (0..runs * 4).map(|_| (per_clip(1), per_clip(16))).unzip();
+        let median = |v: &mut Vec<f64>| {
+            v.sort_by(f64::total_cmp);
+            v[v.len() / 2]
+        };
+        let (med1, med16) = (median(&mut b1), median(&mut b16));
+        assert!(
+            med16 <= med1 * BATCH_TOLERANCE,
+            "batch regression: {} batch-16 ({:.0} ns/clip) is more than \
+             {BATCH_TOLERANCE}x batch-1 ({:.0} ns/clip)",
+            dispatch.active.name(),
+            med16,
+            med1
+        );
+        println!(
+            "check ok: {} batch-16 is {:.2}x batch-1 per clip (median of {} pairs)",
+            dispatch.active.name(),
+            med16 / med1,
+            b1.len()
+        );
     }
 }

@@ -185,13 +185,17 @@ fn main() {
         }
     }
 
-    // Window batches of 2+ route through the bit-sliced XNOR-GEMM
-    // tier when the triage plan compiled one; record which tier
-    // produced these numbers.
+    // Every window batch routes its conv interiors through the
+    // bit-sliced XNOR-GEMM tier when the plan compiled one; record
+    // which tier produced these numbers.
     let gemm_tier = model.plan((window, window)).gemm_tier();
     println!(
-        "batched conv tier: {}",
-        if gemm_tier { "xnor-gemm" } else { "per-item" }
+        "conv tier: {}",
+        if gemm_tier {
+            "xnor-gemm"
+        } else {
+            "border-only"
+        }
     );
 
     let mut json = String::new();

@@ -142,13 +142,17 @@ fn main() {
         }
     }
 
-    // Record which conv execution tier batched requests hit: batches
-    // of 2+ clips route through the bit-sliced XNOR-GEMM tier when the
-    // plan compiled one.
+    // Record which conv execution tier requests hit: batches of every
+    // size route through the bit-sliced XNOR-GEMM tier when the plan
+    // compiled one.
     let gemm_tier = model.plan((side, side)).gemm_tier();
     println!(
-        "batched conv tier: {}",
-        if gemm_tier { "xnor-gemm" } else { "per-item" }
+        "conv tier: {}",
+        if gemm_tier {
+            "xnor-gemm"
+        } else {
+            "border-only"
+        }
     );
 
     let mut json = String::new();

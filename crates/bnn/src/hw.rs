@@ -41,7 +41,7 @@ pub struct DispatchReport {
 
 impl DispatchReport {
     /// One-line human-readable form, e.g.
-    /// `kernel backend: avx2 (4x u64/iter; available: scalar, swar, ssse3, avx2)`.
+    /// `kernel backend: avx2 (4x u64/iter; available: scalar, ssse3, avx2)`.
     pub fn summary(&self) -> String {
         let avail: Vec<&str> = self.available.iter().map(|b| b.name()).collect();
         format!(

@@ -16,29 +16,6 @@
 
 use std::arch::x86_64::*;
 
-/// # Safety
-///
-/// Requires AVX-512F + AVX-512VPOPCNTDQ (checked by the dispatcher).
-#[target_feature(enable = "avx512f,avx512vpopcntdq")]
-pub unsafe fn xor_popcount_avx512(x: &[u64], y: &[u64]) -> u32 {
-    debug_assert_eq!(x.len(), y.len());
-    let mut total = _mm512_setzero_si512();
-    let xc = x.chunks_exact(8);
-    let yc = y.chunks_exact(8);
-    let xr = xc.remainder();
-    let yr = yc.remainder();
-    for (a, b) in xc.zip(yc) {
-        let va = _mm512_loadu_si512(a.as_ptr() as *const __m512i);
-        let vb = _mm512_loadu_si512(b.as_ptr() as *const __m512i);
-        total = _mm512_add_epi64(total, _mm512_popcnt_epi64(_mm512_xor_si512(va, vb)));
-    }
-    let mut sum = _mm512_reduce_add_epi64(total) as u32;
-    for (&a, &b) in xr.iter().zip(yr) {
-        sum += (a ^ b).count_ones();
-    }
-    sum
-}
-
 /// Narrows eight u64 lane counts to eight i32 and adds them into `acc`.
 ///
 /// # Safety
@@ -50,73 +27,6 @@ unsafe fn add_counts8_avx512(acc: *mut i32, cnt: __m512i) {
     let packed = _mm512_cvtepi64_epi32(cnt);
     let av = _mm256_loadu_si256(acc as *const __m256i);
     _mm256_storeu_si256(acc as *mut __m256i, _mm256_add_epi32(av, packed));
-}
-
-/// # Safety
-///
-/// Requires AVX-512F + AVX-512VPOPCNTDQ (checked by the dispatcher).
-#[target_feature(enable = "avx512f,avx512vpopcntdq")]
-pub unsafe fn accum_xor_popcount_avx512(acc: &mut [i32], src: &[u64], w: u64) {
-    debug_assert_eq!(acc.len(), src.len());
-    let wv = _mm512_set1_epi64(w as i64);
-    let sc = src.chunks_exact(8);
-    let sr = sc.remainder();
-    let mut done = 0;
-    for s in sc {
-        let v = _mm512_loadu_si512(s.as_ptr() as *const __m512i);
-        let cnt = _mm512_popcnt_epi64(_mm512_xor_si512(v, wv));
-        add_counts8_avx512(acc.as_mut_ptr().add(done), cnt);
-        done += 8;
-    }
-    for (a, &s) in acc[done..].iter_mut().zip(sr) {
-        *a += (s ^ w).count_ones() as i32;
-    }
-}
-
-/// # Safety
-///
-/// Requires AVX-512F + AVX-512VPOPCNTDQ (checked by the dispatcher).
-#[target_feature(enable = "avx512f,avx512vpopcntdq")]
-pub unsafe fn accum_xor_popcount_x4_avx512(acc: [&mut [i32]; 4], src: &[u64], ws: [u64; 4]) {
-    let [a0, a1, a2, a3] = acc;
-    debug_assert!(a0.len() == src.len() && a1.len() == src.len());
-    debug_assert!(a2.len() == src.len() && a3.len() == src.len());
-    let wv = [
-        _mm512_set1_epi64(ws[0] as i64),
-        _mm512_set1_epi64(ws[1] as i64),
-        _mm512_set1_epi64(ws[2] as i64),
-        _mm512_set1_epi64(ws[3] as i64),
-    ];
-    let sc = src.chunks_exact(8);
-    let sr = sc.remainder();
-    let mut done = 0;
-    for s in sc {
-        // One load feeds all four filters.
-        let v = _mm512_loadu_si512(s.as_ptr() as *const __m512i);
-        add_counts8_avx512(
-            a0.as_mut_ptr().add(done),
-            _mm512_popcnt_epi64(_mm512_xor_si512(v, wv[0])),
-        );
-        add_counts8_avx512(
-            a1.as_mut_ptr().add(done),
-            _mm512_popcnt_epi64(_mm512_xor_si512(v, wv[1])),
-        );
-        add_counts8_avx512(
-            a2.as_mut_ptr().add(done),
-            _mm512_popcnt_epi64(_mm512_xor_si512(v, wv[2])),
-        );
-        add_counts8_avx512(
-            a3.as_mut_ptr().add(done),
-            _mm512_popcnt_epi64(_mm512_xor_si512(v, wv[3])),
-        );
-        done += 8;
-    }
-    for (i, &s) in sr.iter().enumerate() {
-        a0[done + i] += (s ^ ws[0]).count_ones() as i32;
-        a1[done + i] += (s ^ ws[1]).count_ones() as i32;
-        a2[done + i] += (s ^ ws[2]).count_ones() as i32;
-        a3[done + i] += (s ^ ws[3]).count_ones() as i32;
-    }
 }
 
 /// Register-blocked popcount-GEMM microkernel: for `FB ≤ 4` filters,

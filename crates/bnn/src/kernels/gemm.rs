@@ -1,7 +1,7 @@
 //! The `PopcountGemm` backend trait: bit-sliced XNOR-GEMM blocks.
 //!
-//! The batched execution tier (see `packed::xnor_conv_gemm_levels`)
-//! reshapes the binary convolution interior as a matrix product over
+//! The conv engine (see `packed::xnor_conv_gemm_levels`) reshapes
+//! the binary convolution interior as a matrix product over
 //! GF(2)-packed words: the **A** matrix holds each filter's
 //! receptive-field bits densely repacked to `kwords` `u64`s per filter
 //! (one row per filter × residual level), and the **B** matrix holds
@@ -17,20 +17,24 @@
 //! caller's epilogue turns into `±1` dot products and fuses with the
 //! per-channel affine/sign finalize.
 //!
-//! The trait has a correct default implementation in terms of the
-//! span kernels ([`accum_xor_popcount_x4`] / [`accum_xor_popcount`]),
-//! which the scalar, SWAR and SSSE3 backends use as-is.  AVX2, AVX-512
-//! and NEON override [`PopcountGemm::gemm_block`] with register-blocked
-//! microkernels that hold all `2·fb` vector accumulators in registers
-//! across the whole `kwords` reduction instead of re-loading the
-//! accumulator row once per reduction word.
+//! The block runs the interior of every binary convolution at every
+//! batch size, a single clip included.
+//!
+//! The trait's default [`PopcountGemm::gemm_block`] is a plain scalar
+//! loop over `u64::count_ones`, one filter row per reduction word —
+//! the reference the scalar backend uses as-is.  SSSE3 overrides it with its `pshufb` span
+//! kernels, one filter row span per reduction word; AVX2, AVX-512 and
+//! NEON override it with register-blocked microkernels that hold all
+//! `2·fb` vector accumulators in registers across the whole `kwords`
+//! reduction instead of re-loading the accumulator row once per
+//! reduction word.
 //!
 //! Backend selection piggybacks on [`KernelBackend`]: [`gemm_backend`]
-//! maps the dispatched span backend to its GEMM counterpart, so
-//! `HOTSPOT_KERNEL_BACKEND` forces both tiers together and the
-//! bit-identity property tests cover the GEMM path for every backend.
+//! maps the dispatched backend to its GEMM implementation, so
+//! `HOTSPOT_KERNEL_BACKEND` forces it and the bit-identity property
+//! tests cover the GEMM path for every backend.
 
-use super::{accum_xor_popcount, accum_xor_popcount_x4, KernelBackend};
+use super::KernelBackend;
 
 /// A popcount-GEMM implementation (one per [`KernelBackend`]).
 ///
@@ -38,7 +42,7 @@ use super::{accum_xor_popcount, accum_xor_popcount_x4, KernelBackend};
 /// tests in this module compare every available backend against a
 /// plain triple loop.
 pub trait PopcountGemm: Sync + Send {
-    /// The span-kernel backend this GEMM tier belongs to (reporting).
+    /// The backend this GEMM implementation belongs to (reporting).
     fn backend(&self) -> KernelBackend;
 
     /// `acc[f*np + p] += Σ_{j < kwords} popcount(a[f*kwords + j] ^
@@ -64,34 +68,19 @@ pub trait PopcountGemm: Sync + Send {
         debug_assert!(acc.len() >= fb * np);
         debug_assert!(a.len() >= fb * kwords);
         debug_assert!(b.len() >= kwords * np);
-        let backend = self.backend();
-        if fb == 4 {
-            let block = &mut acc[..4 * np];
-            let (r0, rest) = block.split_at_mut(np);
-            let (r1, rest) = rest.split_at_mut(np);
-            let (r2, r3) = rest.split_at_mut(np);
+        for f in 0..fb {
+            let row = &mut acc[f * np..(f + 1) * np];
             for j in 0..kwords {
-                let src = &b[j * np..(j + 1) * np];
-                let ws = [a[j], a[kwords + j], a[2 * kwords + j], a[3 * kwords + j]];
-                accum_xor_popcount_x4(
-                    backend,
-                    [&mut r0[..], &mut r1[..], &mut r2[..], &mut r3[..]],
-                    src,
-                    ws,
-                );
-            }
-        } else {
-            for f in 0..fb {
-                let row = &mut acc[f * np..(f + 1) * np];
-                for j in 0..kwords {
-                    accum_xor_popcount(backend, row, &b[j * np..(j + 1) * np], a[f * kwords + j]);
+                let w = a[f * kwords + j];
+                for (slot, &bw) in row.iter_mut().zip(&b[j * np..(j + 1) * np]) {
+                    *slot += (bw ^ w).count_ones() as i32;
                 }
             }
         }
     }
 }
 
-/// Reference GEMM: default impl over the scalar span kernels.
+/// Reference GEMM: the trait's default scalar loop.
 pub struct ScalarGemm;
 impl PopcountGemm for ScalarGemm {
     fn backend(&self) -> KernelBackend {
@@ -99,21 +88,32 @@ impl PopcountGemm for ScalarGemm {
     }
 }
 
-/// SWAR GEMM: default impl over the SWAR span kernels.
-pub struct SwarGemm;
-impl PopcountGemm for SwarGemm {
-    fn backend(&self) -> KernelBackend {
-        KernelBackend::Swar
-    }
-}
-
-/// SSSE3 GEMM: default impl over the SSSE3 span kernels.
+/// SSSE3 GEMM: `pshufb` span kernels, one filter row span per
+/// reduction word.
 #[cfg(target_arch = "x86_64")]
 pub struct Ssse3Gemm;
 #[cfg(target_arch = "x86_64")]
 impl PopcountGemm for Ssse3Gemm {
     fn backend(&self) -> KernelBackend {
         KernelBackend::Ssse3
+    }
+
+    fn gemm_block(
+        &self,
+        acc: &mut [i32],
+        fb: usize,
+        a: &[u64],
+        b: &[u64],
+        np: usize,
+        kwords: usize,
+    ) {
+        debug_assert!((1..=4).contains(&fb));
+        debug_assert!(acc.len() >= fb * np);
+        debug_assert!(a.len() >= fb * kwords);
+        debug_assert!(b.len() >= kwords * np);
+        // SAFETY: this struct is only handed out by `gemm_backend` for
+        // a backend that passed `is_supported()` (SSSE3 detected).
+        unsafe { super::x86::gemm_block_ssse3(acc, fb, a, b, np, kwords) }
     }
 }
 
@@ -199,7 +199,7 @@ impl PopcountGemm for NeonGemm {
     }
 }
 
-/// The GEMM tier for a dispatched span backend.
+/// The GEMM implementation for a dispatched backend.
 ///
 /// Total over all [`KernelBackend`] values; variants compiled out on
 /// this architecture fall back to the scalar reference (they can never
@@ -207,7 +207,6 @@ impl PopcountGemm for NeonGemm {
 pub fn gemm_backend(backend: KernelBackend) -> &'static dyn PopcountGemm {
     match backend {
         KernelBackend::Scalar => &ScalarGemm,
-        KernelBackend::Swar => &SwarGemm,
         #[cfg(target_arch = "x86_64")]
         KernelBackend::Ssse3 => &Ssse3Gemm,
         #[cfg(target_arch = "x86_64")]
@@ -282,7 +281,6 @@ mod tests {
     fn gemm_backend_is_total_over_all_backends() {
         for backend in [
             KernelBackend::Scalar,
-            KernelBackend::Swar,
             KernelBackend::Ssse3,
             KernelBackend::Avx2,
             KernelBackend::Avx512,

@@ -1,50 +1,43 @@
-//! Runtime-dispatched XNOR+popcount inner loops.
+//! Runtime-dispatched XNOR+popcount kernels.
 //!
-//! The packed convolution spends essentially all of its time in two
-//! tiny primitives over channel-packed `u64` words:
+//! The packed convolution spends essentially all of its time in one
+//! primitive: the bit-sliced popcount-GEMM block of the
+//! [`gemm::PopcountGemm`] trait (see `kernels/gemm.rs`),
 //!
-//! * [`xor_popcount`] — total mismatch count between two equal-length
-//!   word spans (the per-pixel inner product for multi-word channels);
-//! * [`accum_xor_popcount`] / [`accum_xor_popcount_x4`] — for a run of
-//!   stride-1 output pixels, `acc[i] += popcount(src[i] ^ w)` against a
-//!   broadcast filter word (the single-word-per-pixel fast path; the
-//!   `_x4` form reuses each loaded input word across four output
-//!   filters).
+//! ```text
+//! acc[f*np + p] += Σ_j popcount(a[f*kwords + j] ^ b[j*np + p])
+//! ```
 //!
-//! Six implementations exist, selected **once** per
+//! over densely repacked filter rows (A) and receptive-field columns
+//! (B).  It runs the interior of every conv at every batch size; the
+//! bounds-checked border path is plain `count_ones` and the fused
+//! binarize-pack front ([`pack_affine_mean`]) has its own vector
+//! bodies.
+//!
+//! Five implementations exist, selected **once** per
 //! [`ExecPlan`](crate::plan::ExecPlan) compile (not per call):
 //!
-//! * [`KernelBackend::Scalar`] — the always-correct reference:
-//!   one-word-at-a-time `u64::count_ones` (compiles to hardware
-//!   `popcnt` where available).
-//! * [`KernelBackend::Swar`] — portable SWAR popcount, four
-//!   independent accumulator chains per iteration for instruction-level
-//!   parallelism.  Works on every architecture, but benches at parity
-//!   with (or below) the scalar loop on CPUs with hardware popcount,
-//!   so it is **never auto-detected** — it exists as a forceable
-//!   portability fallback and test subject only.
+//! * [`KernelBackend::Scalar`] — the always-correct reference: the
+//!   trait's default scalar loop over `u64::count_ones` (compiles to
+//!   hardware `popcnt` where available).
 //! * [`KernelBackend::Ssse3`] — `pshufb` nibble-lookup popcount on
-//!   128-bit lanes (`std::arch`, gated by `is_x86_feature_detected!`).
-//! * [`KernelBackend::Avx2`] — the same lookup on 256-bit lanes, four
-//!   `u64` words per iteration.
+//!   128-bit lanes (`std::arch`, gated by `is_x86_feature_detected!`),
+//!   run one filter row span at a time.
+//! * [`KernelBackend::Avx2`] — the same lookup on 256-bit lanes in a
+//!   register-blocked microkernel, 8 pixels × up to 4 filters.
 //! * [`KernelBackend::Avx512`] — native per-lane popcount
-//!   (`vpopcntdq`) on 512-bit lanes, eight `u64` words per iteration;
+//!   (`vpopcntdq`) on 512-bit lanes, 16 pixels × up to 4 filters;
 //!   requires both `avx512f` and `avx512vpopcntdq`.
 //! * [`KernelBackend::Neon`] — AArch64 `vcntq_u8` byte popcount with
-//!   pairwise widening reduction, two `u64` words per iteration.
-//!
-//! Each backend also carries a batched bit-sliced GEMM tier behind the
-//! [`gemm::PopcountGemm`] trait (see `kernels/gemm.rs`): the forced /
-//! detected [`KernelBackend`] selects both the span kernels below and
-//! the GEMM microkernel together.
+//!   pairwise widening reduction, 4 pixels × up to 4 filters.
 //!
 //! All backends compute identical integer counts, so every backend
 //! produces **bit-identical logits** (enforced by the
-//! `kernel_backends_*` property tests).  [`active_backend`] picks the
-//! best supported backend at first use; the `HOTSPOT_KERNEL_BACKEND`
-//! environment variable
-//! (`scalar`/`swar`/`ssse3`/`avx2`/`avx512`/`neon`) overrides the
-//! choice for benchmarking and CI equivalence runs.
+//! `kernel_backends_*` and `plan_*` property tests).  [`active_backend`]
+//! picks the best supported backend at first use; the
+//! `HOTSPOT_KERNEL_BACKEND` environment variable
+//! (`scalar`/`ssse3`/`avx2`/`avx512`/`neon`) overrides the choice for
+//! benchmarking and CI equivalence runs.
 
 #[cfg(target_arch = "x86_64")]
 mod avx512;
@@ -52,8 +45,6 @@ pub mod gemm;
 pub mod geom;
 #[cfg(target_arch = "aarch64")]
 mod neon;
-mod scalar;
-mod swar;
 #[cfg(target_arch = "x86_64")]
 mod x86;
 
@@ -68,8 +59,6 @@ use std::sync::OnceLock;
 pub enum KernelBackend {
     /// One-word-at-a-time reference loop.
     Scalar,
-    /// Portable SWAR popcount, 4 `u64` lanes per iteration for ILP.
-    Swar,
     /// SSE `pshufb` nibble-lookup popcount (x86-64 only).
     Ssse3,
     /// AVX2 nibble-lookup popcount, 4 `u64` words per vector
@@ -89,7 +78,6 @@ impl KernelBackend {
     pub fn name(self) -> &'static str {
         match self {
             KernelBackend::Scalar => "scalar",
-            KernelBackend::Swar => "swar",
             KernelBackend::Ssse3 => "ssse3",
             KernelBackend::Avx2 => "avx2",
             KernelBackend::Avx512 => "avx512",
@@ -101,7 +89,6 @@ impl KernelBackend {
     pub fn parse(s: &str) -> Option<KernelBackend> {
         match s.trim().to_ascii_lowercase().as_str() {
             "scalar" => Some(KernelBackend::Scalar),
-            "swar" => Some(KernelBackend::Swar),
             "ssse3" => Some(KernelBackend::Ssse3),
             "avx2" => Some(KernelBackend::Avx2),
             "avx512" => Some(KernelBackend::Avx512),
@@ -114,7 +101,7 @@ impl KernelBackend {
     pub fn u64_lanes(self) -> usize {
         match self {
             KernelBackend::Scalar => 1,
-            KernelBackend::Swar | KernelBackend::Avx2 => 4,
+            KernelBackend::Avx2 => 4,
             KernelBackend::Ssse3 | KernelBackend::Neon => 2,
             KernelBackend::Avx512 => 8,
         }
@@ -123,7 +110,7 @@ impl KernelBackend {
     /// Whether this backend can run on the current CPU.
     pub fn is_supported(self) -> bool {
         match self {
-            KernelBackend::Scalar | KernelBackend::Swar => true,
+            KernelBackend::Scalar => true,
             #[cfg(target_arch = "x86_64")]
             KernelBackend::Ssse3 => std::arch::is_x86_feature_detected!("ssse3"),
             #[cfg(target_arch = "x86_64")]
@@ -144,7 +131,6 @@ impl KernelBackend {
     pub fn available() -> Vec<KernelBackend> {
         [
             KernelBackend::Scalar,
-            KernelBackend::Swar,
             KernelBackend::Ssse3,
             KernelBackend::Avx2,
             KernelBackend::Avx512,
@@ -157,11 +143,7 @@ impl KernelBackend {
 
     /// The best supported backend on this CPU.
     ///
-    /// Preference order: AVX-512 > AVX2 > SSSE3 > NEON > scalar.  SWAR
-    /// is deliberately absent — it benches at or below the scalar loop
-    /// on hardware with native popcount (see BENCH_kernels.json), so
-    /// auto-detection never picks it; it remains forceable via
-    /// `HOTSPOT_KERNEL_BACKEND=swar`.
+    /// Preference order: AVX-512 > AVX2 > SSSE3 > NEON > scalar.
     pub fn detect() -> KernelBackend {
         [
             KernelBackend::Avx512,
@@ -227,91 +209,6 @@ fn resolve_backend(requested: Option<&str>) -> KernelBackend {
 pub fn active_backend() -> KernelBackend {
     static ACTIVE: OnceLock<KernelBackend> = OnceLock::new();
     *ACTIVE.get_or_init(|| resolve_backend(std::env::var("HOTSPOT_KERNEL_BACKEND").ok().as_deref()))
-}
-
-/// Total popcount of `x[i] ^ y[i]` over two equal-length word spans.
-///
-/// # Panics
-///
-/// Panics (debug) when the lengths differ.
-#[inline]
-pub fn xor_popcount(backend: KernelBackend, x: &[u64], y: &[u64]) -> u32 {
-    debug_assert_eq!(x.len(), y.len());
-    match backend {
-        KernelBackend::Scalar => scalar::xor_popcount(x, y),
-        KernelBackend::Swar => swar::xor_popcount(x, y),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: backends are only selected when
-        // `is_x86_feature_detected!` confirmed the feature.
-        KernelBackend::Ssse3 => unsafe { x86::xor_popcount_ssse3(x, y) },
-        #[cfg(target_arch = "x86_64")]
-        KernelBackend::Avx2 => unsafe { x86::xor_popcount_avx2(x, y) },
-        #[cfg(target_arch = "x86_64")]
-        KernelBackend::Avx512 => unsafe { avx512::xor_popcount_avx512(x, y) },
-        #[cfg(target_arch = "aarch64")]
-        KernelBackend::Neon => unsafe { neon::xor_popcount_neon(x, y) },
-        // Foreign-architecture variants can never be dispatched
-        // (`is_supported()` is false); keep the match total.
-        #[allow(unreachable_patterns)]
-        _ => scalar::xor_popcount(x, y),
-    }
-}
-
-/// `acc[i] += popcount(src[i] ^ w)` over a run of stride-1 pixels.
-///
-/// # Panics
-///
-/// Panics (debug) when the lengths differ.
-#[inline]
-pub fn accum_xor_popcount(backend: KernelBackend, acc: &mut [i32], src: &[u64], w: u64) {
-    debug_assert_eq!(acc.len(), src.len());
-    match backend {
-        KernelBackend::Scalar => scalar::accum_xor_popcount(acc, src, w),
-        KernelBackend::Swar => swar::accum_xor_popcount(acc, src, w),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: see `xor_popcount`.
-        KernelBackend::Ssse3 => unsafe { x86::accum_xor_popcount_ssse3(acc, src, w) },
-        #[cfg(target_arch = "x86_64")]
-        KernelBackend::Avx2 => unsafe { x86::accum_xor_popcount_avx2(acc, src, w) },
-        #[cfg(target_arch = "x86_64")]
-        KernelBackend::Avx512 => unsafe { avx512::accum_xor_popcount_avx512(acc, src, w) },
-        #[cfg(target_arch = "aarch64")]
-        KernelBackend::Neon => unsafe { neon::accum_xor_popcount_neon(acc, src, w) },
-        #[allow(unreachable_patterns)]
-        _ => scalar::accum_xor_popcount(acc, src, w),
-    }
-}
-
-/// Four-filter form of [`accum_xor_popcount`]: each loaded input word
-/// is XNOR-accumulated against four filter words into four accumulator
-/// rows (the filter-blocked interior loop).
-///
-/// # Panics
-///
-/// Panics (debug) when any accumulator length differs from `src`.
-#[inline]
-pub fn accum_xor_popcount_x4(
-    backend: KernelBackend,
-    acc: [&mut [i32]; 4],
-    src: &[u64],
-    ws: [u64; 4],
-) {
-    debug_assert!(acc.iter().all(|a| a.len() == src.len()));
-    match backend {
-        KernelBackend::Scalar => scalar::accum_xor_popcount_x4(acc, src, ws),
-        KernelBackend::Swar => swar::accum_xor_popcount_x4(acc, src, ws),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: see `xor_popcount`.
-        KernelBackend::Ssse3 => unsafe { x86::accum_xor_popcount_x4_ssse3(acc, src, ws) },
-        #[cfg(target_arch = "x86_64")]
-        KernelBackend::Avx2 => unsafe { x86::accum_xor_popcount_x4_avx2(acc, src, ws) },
-        #[cfg(target_arch = "x86_64")]
-        KernelBackend::Avx512 => unsafe { avx512::accum_xor_popcount_x4_avx512(acc, src, ws) },
-        #[cfg(target_arch = "aarch64")]
-        KernelBackend::Neon => unsafe { neon::accum_xor_popcount_x4_neon(acc, src, ws) },
-        #[allow(unreachable_patterns)]
-        _ => scalar::accum_xor_popcount_x4(acc, src, ws),
-    }
 }
 
 /// Backend-dispatched form of
@@ -387,6 +284,7 @@ pub fn pack_affine_mean(
 mod tests {
     use super::*;
 
+    #[cfg(target_arch = "x86_64")]
     fn words(seed: u64, n: usize) -> Vec<u64> {
         let mut s = seed;
         (0..n)
@@ -408,89 +306,96 @@ mod tests {
         assert_eq!(resolve_backend(None), KernelBackend::detect());
         assert_eq!(resolve_backend(Some("scalar")), KernelBackend::Scalar);
 
-        let sink = Arc::new(CollectingSubscriber::new());
-        let prev = trace::set_subscriber(sink.clone());
-        let resolved = resolve_backend(Some("quantum"));
-        match prev {
-            Some(p) => {
-                trace::set_subscriber(p);
-            }
-            None => {
-                trace::clear_subscriber();
-            }
-        }
-        assert_eq!(resolved, KernelBackend::detect());
-        let fallback_events: Vec<_> = sink
-            .records()
-            .into_iter()
-            .filter_map(|r| match r {
-                Record::Event { name, fields, .. } if name == "kernels.backend_fallback" => {
-                    Some(fields)
+        // "swar" named a backend that has since been deleted; it now
+        // takes the same fallback as any unknown name.
+        for bad in ["quantum", "swar"] {
+            let sink = Arc::new(CollectingSubscriber::new());
+            let prev = trace::set_subscriber(sink.clone());
+            let resolved = resolve_backend(Some(bad));
+            match prev {
+                Some(p) => {
+                    trace::set_subscriber(p);
                 }
-                _ => None,
-            })
-            .collect();
-        assert_eq!(fallback_events.len(), 1, "exactly one fallback event");
-        let fields = &fallback_events[0];
-        let get = |key: &str| {
-            fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| format!("{v:?}"))
-                .unwrap_or_default()
-        };
-        assert!(get("requested").contains("quantum"), "{fields:?}");
-        assert!(get("reason").contains("unrecognized_value"), "{fields:?}");
-    }
-
-    #[test]
-    fn backends_match_scalar_on_random_spans() {
-        let x = words(1, 257);
-        let y = words(2, 257);
-        let expect = xor_popcount(KernelBackend::Scalar, &x, &y);
-        for backend in KernelBackend::available() {
-            for len in [0, 1, 2, 3, 4, 5, 7, 8, 63, 64, 255, 257] {
-                let e = xor_popcount(KernelBackend::Scalar, &x[..len], &y[..len]);
-                assert_eq!(
-                    xor_popcount(backend, &x[..len], &y[..len]),
-                    e,
-                    "{} len {len}",
-                    backend.name()
-                );
+                None => {
+                    trace::clear_subscriber();
+                }
             }
-            assert_eq!(xor_popcount(backend, &x, &y), expect, "{}", backend.name());
+            assert_eq!(resolved, KernelBackend::detect(), "{bad}");
+            let fallback_events: Vec<_> = sink
+                .records()
+                .into_iter()
+                .filter_map(|r| match r {
+                    Record::Event { name, fields, .. } if name == "kernels.backend_fallback" => {
+                        Some(fields)
+                    }
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(
+                fallback_events.len(),
+                1,
+                "exactly one fallback event for {bad}"
+            );
+            let fields = &fallback_events[0];
+            let get = |key: &str| {
+                fields
+                    .iter()
+                    .find(|(k, _)| k == key)
+                    .map(|(_, v)| format!("{v:?}"))
+                    .unwrap_or_default()
+            };
+            assert!(get("requested").contains(bad), "{fields:?}");
+            assert!(get("reason").contains("unrecognized_value"), "{fields:?}");
         }
     }
 
+    /// `acc[i] += popcount(src[i] ^ w)`, one word at a time.
+    #[cfg(target_arch = "x86_64")]
+    fn accum_reference(acc: &mut [i32], src: &[u64], w: u64) {
+        for (a, &s) in acc.iter_mut().zip(src) {
+            *a += (s ^ w).count_ones() as i32;
+        }
+    }
+
+    /// The SSSE3 span kernels behind `Ssse3Gemm` match a scalar loop at
+    /// every tail length of their two-word vector body.
+    #[cfg(target_arch = "x86_64")]
     #[test]
     fn accum_backends_match_scalar() {
+        if !KernelBackend::Ssse3.is_supported() {
+            return;
+        }
         let src = words(3, 133);
         let w = 0xdead_beef_f00d_cafe;
-        let mut expect = vec![5i32; src.len()];
-        accum_xor_popcount(KernelBackend::Scalar, &mut expect, &src, w);
-        for backend in KernelBackend::available() {
-            let mut acc = vec![5i32; src.len()];
-            accum_xor_popcount(backend, &mut acc, &src, w);
-            assert_eq!(acc, expect, "{}", backend.name());
+        for len in [0, 1, 2, 3, 5, 132, 133] {
+            let mut expect = vec![5i32; len];
+            accum_reference(&mut expect, &src[..len], w);
+            let mut acc = vec![5i32; len];
+            // SAFETY: SSSE3 support checked above.
+            unsafe { x86::accum_xor_popcount_ssse3(&mut acc, &src[..len], w) };
+            assert_eq!(acc, expect, "len {len}");
         }
     }
 
+    #[cfg(target_arch = "x86_64")]
     #[test]
     fn accum_x4_matches_four_single_accums() {
+        if !KernelBackend::Ssse3.is_supported() {
+            return;
+        }
         let src = words(4, 67);
         let ws4 = [1u64, !0u64, 0x5555_5555_5555_5555, 0x0123_4567_89ab_cdef];
         let mut expect = vec![vec![0i32; src.len()]; 4];
         for (f, e) in expect.iter_mut().enumerate() {
-            accum_xor_popcount(KernelBackend::Scalar, e, &src, ws4[f]);
+            accum_reference(e, &src, ws4[f]);
         }
-        for backend in KernelBackend::available() {
-            let mut acc = vec![vec![0i32; src.len()]; 4];
-            let [a0, a1, a2, a3] = &mut acc[..] else {
-                unreachable!()
-            };
-            accum_xor_popcount_x4(backend, [a0, a1, a2, a3], &src, ws4);
-            assert_eq!(acc, expect, "{}", backend.name());
-        }
+        let mut acc = vec![vec![0i32; src.len()]; 4];
+        let [a0, a1, a2, a3] = &mut acc[..] else {
+            unreachable!()
+        };
+        // SAFETY: SSSE3 support checked above.
+        unsafe { x86::accum_xor_popcount_x4_ssse3([a0, a1, a2, a3], &src, ws4) };
+        assert_eq!(acc, expect);
     }
 
     #[test]

@@ -3,10 +3,8 @@
 //! NEON has no per-`u64` popcount, but `CNT` counts every byte of a
 //! 128-bit register at once; three pairwise widening adds
 //! (`vpaddlq_u8 → u16`, `→ u32`, `→ u64`) collapse the byte counts back
-//! into one count per `u64` lane.  For the span-total form the byte
-//! counts accumulate in a `u16×8` register (each lane gains at most 16
-//! per step, so thousands of iterations fit) and reduce once at the
-//! end.
+//! into one count per `u64` lane, which the GEMM microkernel
+//! accumulates in registers across the whole reduction.
 //!
 //! NEON is baseline on AArch64, so this backend is always supported
 //! there and never compiled elsewhere.  Every function still follows
@@ -25,94 +23,6 @@ use std::arch::aarch64::*;
 #[target_feature(enable = "neon")]
 unsafe fn popcnt_u64x2(v: uint8x16_t) -> uint64x2_t {
     vpaddlq_u32(vpaddlq_u16(vpaddlq_u8(vcntq_u8(v))))
-}
-
-/// # Safety
-///
-/// Requires NEON (baseline on AArch64).
-#[target_feature(enable = "neon")]
-pub unsafe fn xor_popcount_neon(x: &[u64], y: &[u64]) -> u32 {
-    debug_assert_eq!(x.len(), y.len());
-    let mut acc16 = vdupq_n_u16(0);
-    let xc = x.chunks_exact(2);
-    let yc = y.chunks_exact(2);
-    let xr = xc.remainder();
-    let yr = yc.remainder();
-    for (a, b) in xc.zip(yc) {
-        let va = vld1q_u64(a.as_ptr());
-        let vb = vld1q_u64(b.as_ptr());
-        let cnt = vcntq_u8(vreinterpretq_u8_u64(veorq_u64(va, vb)));
-        acc16 = vpadalq_u8(acc16, cnt);
-    }
-    let mut sum = vaddlvq_u16(acc16);
-    for (&a, &b) in xr.iter().zip(yr) {
-        sum += (a ^ b).count_ones();
-    }
-    sum
-}
-
-/// # Safety
-///
-/// Requires NEON (baseline on AArch64).
-#[target_feature(enable = "neon")]
-pub unsafe fn accum_xor_popcount_neon(acc: &mut [i32], src: &[u64], w: u64) {
-    debug_assert_eq!(acc.len(), src.len());
-    let wv = vdupq_n_u64(w);
-    let sc = src.chunks_exact(2);
-    let sr = sc.remainder();
-    let mut done = 0;
-    for s in sc {
-        let v = veorq_u64(vld1q_u64(s.as_ptr()), wv);
-        let cnt = popcnt_u64x2(vreinterpretq_u8_u64(v));
-        acc[done] += vgetq_lane_u64(cnt, 0) as i32;
-        acc[done + 1] += vgetq_lane_u64(cnt, 1) as i32;
-        done += 2;
-    }
-    for (a, &s) in acc[done..].iter_mut().zip(sr) {
-        *a += (s ^ w).count_ones() as i32;
-    }
-}
-
-/// # Safety
-///
-/// Requires NEON (baseline on AArch64).
-#[target_feature(enable = "neon")]
-pub unsafe fn accum_xor_popcount_x4_neon(acc: [&mut [i32]; 4], src: &[u64], ws: [u64; 4]) {
-    let [a0, a1, a2, a3] = acc;
-    debug_assert!(a0.len() == src.len() && a1.len() == src.len());
-    debug_assert!(a2.len() == src.len() && a3.len() == src.len());
-    let wv = [
-        vdupq_n_u64(ws[0]),
-        vdupq_n_u64(ws[1]),
-        vdupq_n_u64(ws[2]),
-        vdupq_n_u64(ws[3]),
-    ];
-    let sc = src.chunks_exact(2);
-    let sr = sc.remainder();
-    let mut done = 0;
-    for s in sc {
-        // One load feeds all four filters.
-        let v = vld1q_u64(s.as_ptr());
-        let c0 = popcnt_u64x2(vreinterpretq_u8_u64(veorq_u64(v, wv[0])));
-        a0[done] += vgetq_lane_u64(c0, 0) as i32;
-        a0[done + 1] += vgetq_lane_u64(c0, 1) as i32;
-        let c1 = popcnt_u64x2(vreinterpretq_u8_u64(veorq_u64(v, wv[1])));
-        a1[done] += vgetq_lane_u64(c1, 0) as i32;
-        a1[done + 1] += vgetq_lane_u64(c1, 1) as i32;
-        let c2 = popcnt_u64x2(vreinterpretq_u8_u64(veorq_u64(v, wv[2])));
-        a2[done] += vgetq_lane_u64(c2, 0) as i32;
-        a2[done + 1] += vgetq_lane_u64(c2, 1) as i32;
-        let c3 = popcnt_u64x2(vreinterpretq_u8_u64(veorq_u64(v, wv[3])));
-        a3[done] += vgetq_lane_u64(c3, 0) as i32;
-        a3[done + 1] += vgetq_lane_u64(c3, 1) as i32;
-        done += 2;
-    }
-    for (i, &s) in sr.iter().enumerate() {
-        a0[done + i] += (s ^ ws[0]).count_ones() as i32;
-        a1[done + i] += (s ^ ws[1]).count_ones() as i32;
-        a2[done + i] += (s ^ ws[2]).count_ones() as i32;
-        a3[done + i] += (s ^ ws[3]).count_ones() as i32;
-    }
 }
 
 /// Register-blocked popcount-GEMM microkernel: for `FB ≤ 4` filters,

@@ -6,11 +6,14 @@
 //! shift+mask the high nibbles, look both up, add, then `psadbw`
 //! against zero horizontally sums the byte counts into one u64 per
 //! 64-bit lane.  This is the standard Muła lookup popcount; AVX2
-//! processes four `u64` words per iteration, SSSE3 two.
+//! processes four `u64` words per vector, SSSE3 two.  AVX2 runs it in a
+//! register-blocked GEMM microkernel; SSSE3 runs it as span kernels,
+//! one B row per reduction word.  The fused affine + sign-pack pass
+//! of the scaled convs has an AVX2 body here too.
 //!
 //! Every function is `unsafe` + `#[target_feature]`: callers (the
-//! dispatchers in `kernels::mod`) must have verified the feature with
-//! `is_x86_feature_detected!`.
+//! dispatchers in `kernels::mod` / `kernels::gemm`) must have verified
+//! the feature with `is_x86_feature_detected!`.
 
 #![cfg(target_arch = "x86_64")]
 
@@ -51,57 +54,6 @@ unsafe fn popcnt_epi64_ssse3(v: __m128i) -> __m128i {
     _mm_sad_epu8(cnt, _mm_setzero_si128())
 }
 
-/// # Safety
-///
-/// Requires AVX2 (checked by the dispatcher).
-#[target_feature(enable = "avx2")]
-pub unsafe fn xor_popcount_avx2(x: &[u64], y: &[u64]) -> u32 {
-    debug_assert_eq!(x.len(), y.len());
-    let mut total = _mm256_setzero_si256();
-    let xc = x.chunks_exact(4);
-    let yc = y.chunks_exact(4);
-    let xr = xc.remainder();
-    let yr = yc.remainder();
-    for (a, b) in xc.zip(yc) {
-        let va = _mm256_loadu_si256(a.as_ptr() as *const __m256i);
-        let vb = _mm256_loadu_si256(b.as_ptr() as *const __m256i);
-        total = _mm256_add_epi64(total, popcnt_epi64_avx2(_mm256_xor_si256(va, vb)));
-    }
-    let mut sum = (_mm256_extract_epi64(total, 0)
-        + _mm256_extract_epi64(total, 1)
-        + _mm256_extract_epi64(total, 2)
-        + _mm256_extract_epi64(total, 3)) as u32;
-    for (&a, &b) in xr.iter().zip(yr) {
-        sum += (a ^ b).count_ones();
-    }
-    sum
-}
-
-/// # Safety
-///
-/// Requires SSSE3 (checked by the dispatcher).
-#[target_feature(enable = "ssse3")]
-pub unsafe fn xor_popcount_ssse3(x: &[u64], y: &[u64]) -> u32 {
-    debug_assert_eq!(x.len(), y.len());
-    let mut total = _mm_setzero_si128();
-    let xc = x.chunks_exact(2);
-    let yc = y.chunks_exact(2);
-    let xr = xc.remainder();
-    let yr = yc.remainder();
-    for (a, b) in xc.zip(yc) {
-        let va = _mm_loadu_si128(a.as_ptr() as *const __m128i);
-        let vb = _mm_loadu_si128(b.as_ptr() as *const __m128i);
-        total = _mm_add_epi64(total, popcnt_epi64_ssse3(_mm_xor_si128(va, vb)));
-    }
-    let lo = _mm_cvtsi128_si64(total) as u64;
-    let hi = _mm_cvtsi128_si64(_mm_unpackhi_epi64(total, total)) as u64;
-    let mut sum = (lo + hi) as u32;
-    for (&a, &b) in xr.iter().zip(yr) {
-        sum += (a ^ b).count_ones();
-    }
-    sum
-}
-
 /// Narrows four u64 lane counts to four i32 and adds them into `acc`.
 ///
 /// # Safety
@@ -134,27 +86,6 @@ unsafe fn add_counts2_ssse3(acc: *mut i32, cnt: __m128i) {
 
 /// # Safety
 ///
-/// Requires AVX2 (checked by the dispatcher).
-#[target_feature(enable = "avx2")]
-pub unsafe fn accum_xor_popcount_avx2(acc: &mut [i32], src: &[u64], w: u64) {
-    debug_assert_eq!(acc.len(), src.len());
-    let wv = _mm256_set1_epi64x(w as i64);
-    let sc = src.chunks_exact(4);
-    let sr = sc.remainder();
-    let mut done = 0;
-    for s in sc {
-        let v = _mm256_loadu_si256(s.as_ptr() as *const __m256i);
-        let cnt = popcnt_epi64_avx2(_mm256_xor_si256(v, wv));
-        add_counts4_avx2(acc.as_mut_ptr().add(done), cnt);
-        done += 4;
-    }
-    for (a, &s) in acc[done..].iter_mut().zip(sr) {
-        *a += (s ^ w).count_ones() as i32;
-    }
-}
-
-/// # Safety
-///
 /// Requires SSSE3 (checked by the dispatcher).
 #[target_feature(enable = "ssse3")]
 pub unsafe fn accum_xor_popcount_ssse3(acc: &mut [i32], src: &[u64], w: u64) {
@@ -171,52 +102,6 @@ pub unsafe fn accum_xor_popcount_ssse3(acc: &mut [i32], src: &[u64], w: u64) {
     }
     for (a, &s) in acc[done..].iter_mut().zip(sr) {
         *a += (s ^ w).count_ones() as i32;
-    }
-}
-
-/// # Safety
-///
-/// Requires AVX2 (checked by the dispatcher).
-#[target_feature(enable = "avx2")]
-pub unsafe fn accum_xor_popcount_x4_avx2(acc: [&mut [i32]; 4], src: &[u64], ws: [u64; 4]) {
-    let [a0, a1, a2, a3] = acc;
-    debug_assert!(a0.len() == src.len() && a1.len() == src.len());
-    debug_assert!(a2.len() == src.len() && a3.len() == src.len());
-    let wv = [
-        _mm256_set1_epi64x(ws[0] as i64),
-        _mm256_set1_epi64x(ws[1] as i64),
-        _mm256_set1_epi64x(ws[2] as i64),
-        _mm256_set1_epi64x(ws[3] as i64),
-    ];
-    let sc = src.chunks_exact(4);
-    let sr = sc.remainder();
-    let mut done = 0;
-    for s in sc {
-        // One load feeds all four filters.
-        let v = _mm256_loadu_si256(s.as_ptr() as *const __m256i);
-        add_counts4_avx2(
-            a0.as_mut_ptr().add(done),
-            popcnt_epi64_avx2(_mm256_xor_si256(v, wv[0])),
-        );
-        add_counts4_avx2(
-            a1.as_mut_ptr().add(done),
-            popcnt_epi64_avx2(_mm256_xor_si256(v, wv[1])),
-        );
-        add_counts4_avx2(
-            a2.as_mut_ptr().add(done),
-            popcnt_epi64_avx2(_mm256_xor_si256(v, wv[2])),
-        );
-        add_counts4_avx2(
-            a3.as_mut_ptr().add(done),
-            popcnt_epi64_avx2(_mm256_xor_si256(v, wv[3])),
-        );
-        done += 4;
-    }
-    for (i, &s) in sr.iter().enumerate() {
-        a0[done + i] += (s ^ ws[0]).count_ones() as i32;
-        a1[done + i] += (s ^ ws[1]).count_ones() as i32;
-        a2[done + i] += (s ^ ws[2]).count_ones() as i32;
-        a3[done + i] += (s ^ ws[3]).count_ones() as i32;
     }
 }
 
@@ -351,6 +236,48 @@ pub unsafe fn accum_xor_popcount_x4_ssse3(acc: [&mut [i32]; 4], src: &[u64], ws:
         a1[done + i] += (s ^ ws[1]).count_ones() as i32;
         a2[done + i] += (s ^ ws[2]).count_ones() as i32;
         a3[done + i] += (s ^ ws[3]).count_ones() as i32;
+    }
+}
+
+/// SSSE3 popcount-GEMM block: for `fb ≤ 4` filters,
+/// `acc[f*np + p] += Σ_j popcount(a[f*kwords + j] ^ b[j*np + p])`,
+/// one B row span per reduction word through the `pshufb` span
+/// kernels (a full four-filter block reuses each loaded B vector
+/// across all four filters).
+///
+/// # Safety
+///
+/// Requires SSSE3; slice bounds as in `PopcountGemm::gemm_block`.
+#[target_feature(enable = "ssse3")]
+pub unsafe fn gemm_block_ssse3(
+    acc: &mut [i32],
+    fb: usize,
+    a: &[u64],
+    b: &[u64],
+    np: usize,
+    kwords: usize,
+) {
+    if fb == 4 {
+        let block = &mut acc[..4 * np];
+        let (r0, rest) = block.split_at_mut(np);
+        let (r1, rest) = rest.split_at_mut(np);
+        let (r2, r3) = rest.split_at_mut(np);
+        for j in 0..kwords {
+            let src = &b[j * np..(j + 1) * np];
+            let ws = [a[j], a[kwords + j], a[2 * kwords + j], a[3 * kwords + j]];
+            accum_xor_popcount_x4_ssse3(
+                [&mut r0[..], &mut r1[..], &mut r2[..], &mut r3[..]],
+                src,
+                ws,
+            );
+        }
+    } else {
+        for f in 0..fb {
+            let row = &mut acc[f * np..(f + 1) * np];
+            for j in 0..kwords {
+                accum_xor_popcount_ssse3(row, &b[j * np..(j + 1) * np], a[f * kwords + j]);
+            }
+        }
     }
 }
 

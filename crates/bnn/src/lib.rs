@@ -60,8 +60,7 @@ pub use kernels::{active_backend, gemm_backend, ConvGeometry, KernelBackend, Pop
 pub use layer::BinConv2d;
 pub use model::{BnnResNet, LayerSummary, NetConfig, MAX_LEVELS};
 pub use packed::{
-    xnor_conv2d, xnor_conv2d_backend, xnor_conv2d_into, xnor_conv2d_into_backend, ConvPrep,
-    PackedBnn, PackedConv, PackedResidual, ACC_PLANES,
+    xnor_conv2d, xnor_conv2d_backend, ConvPrep, PackedBnn, PackedConv, PackedResidual,
 };
 pub use plan::ExecPlan;
 pub use scaling::{

@@ -1,13 +1,22 @@
 //! Bit-packed XNOR inference engine.
 //!
-//! [`xnor_conv2d`] is the fast kernel: for each output pixel and kernel
-//! tap, one `XOR` + `popcount` per 64 channels replaces 64 float
-//! multiply–accumulates.  [`PackedBnn`] compiles a trained
-//! [`BnnResNet`] into this representation, folding
-//! each block's batch normalization into a per-channel affine and
-//! factoring the activation scaling out of the convolution XNOR-Net
-//! style (the standard inference-time approximation of the per-channel
-//! training scaling; see DESIGN.md).
+//! One `XOR` + `popcount` per 64 channels replaces 64 float
+//! multiply–accumulates, and one conv engine applies it at every batch
+//! size, a single clip included.  The interior output rectangle —
+//! every pixel whose `kh·kw` taps all land in bounds — of all `n` items
+//! runs as a bit-sliced XNOR-GEMM: receptive fields are densely
+//! repacked as B columns (`pack_b_tile`) and streamed through the
+//! backend's [`kernels::PopcountGemm`] microkernel against filter rows
+//! repacked once at prep time.  The thin border runs a bounds-checked
+//! per-pixel path (`border_levels_block`); a layer with no interior
+//! runs border-only.  [`xnor_conv2d`] exposes the engine on raw bit
+//! tensors.
+//!
+//! [`PackedBnn`] compiles a trained [`BnnResNet`] into this
+//! representation, folding each block's batch normalization into a
+//! per-channel affine and factoring the activation scaling out of the
+//! convolution XNOR-Net style (the standard inference-time
+//! approximation of the per-channel training scaling; see DESIGN.md).
 //!
 //! [`BnnResNet`]: crate::model::BnnResNet
 
@@ -22,9 +31,10 @@ use hotspot_tensor::{crc32, Tensor, WireWriter};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-/// Integer scratch rows [`xnor_conv2d_into`] needs: one accumulator
-/// plane per filter in a block of four.
-pub const ACC_PLANES: usize = 4;
+/// Filters per block: the GEMM microkernels accumulate up to four
+/// filter rows per pass over a B tile, and the border path holds one
+/// register accumulator per filter in a block.
+const ACC_PLANES: usize = 4;
 
 /// Binary convolution on bit-packed operands.
 ///
@@ -59,8 +69,9 @@ pub fn xnor_conv2d_backend(
     assert_eq!(c, fc, "input has {c} channels, filter expects {fc}");
     assert!(stride > 0, "stride must be positive");
     let geom = ConvGeometry::new(c, h, w, kh, kw, stride, pad);
-    let (oh, ow) = (geom.oh, geom.ow);
-    let oplane = oh * ow;
+    let gemm = geom.interior().map(|_| GemmPrep::new([filter]));
+    let item_words = h * w * geom.wpp;
+    let oplane = geom.oh * geom.ow;
     let in_words = input.as_words();
 
     let mut out = vec![0.0f32; n * k * oplane];
@@ -69,65 +80,25 @@ pub fn xnor_conv2d_backend(
     // processes (the guard restores it when the worker retires).
     out.par_chunks_mut(k * oplane).enumerate().for_each_init(
         || global_pool().checkout_guard(),
-        |ws, (ni, chunk)| {
-            let mut acc = ws.take_i32(ACC_PLANES * geom.ow);
+        |ws, (ni, item)| {
             let levels = [LevelFilters {
                 filter,
                 alpha: None,
             }];
-            xnor_item_levels(backend, in_words, &geom, &levels, ni, None, &mut acc, chunk);
-            ws.give_i32(acc);
+            conv_levels(
+                backend,
+                &in_words[ni * item_words..(ni + 1) * item_words],
+                1,
+                &geom,
+                gemm.as_ref(),
+                &levels,
+                None,
+                ws,
+                item,
+            );
         },
     );
-    Tensor::from_vec(&[n, k, oh, ow], out)
-}
-
-/// Binary convolution on raw [`BitTensor`]-layout words into a
-/// caller-provided `[n, k, oh, ow]` buffer, with caller-provided
-/// integer scratch — the sequential, allocation-free core behind
-/// [`xnor_conv2d`] and the [`crate::plan::ExecPlan`] engine.  The
-/// geometry tables are precomputed by the caller (once per plan step)
-/// instead of being rebuilt per plane.
-///
-/// `acc` must hold [`ACC_PLANES`]` * ow` elements — one output row of
-/// accumulators per filter in a block; rows finalize straight out of
-/// this L1-resident buffer (contents
-/// ignored).  Every element of `out` is overwritten.
-///
-/// # Panics
-///
-/// Panics when the filter disagrees with the geometry or a buffer
-/// length does not match the dimensions.
-pub fn xnor_conv2d_into(
-    in_words: &[u64],
-    n: usize,
-    geom: &ConvGeometry,
-    filter: &BitFilter,
-    acc: &mut [i32],
-    out: &mut [f32],
-) {
-    xnor_conv2d_into_backend(active_backend(), in_words, n, geom, filter, acc, out)
-}
-
-/// [`xnor_conv2d_into`] with an explicit kernel backend.
-///
-/// # Panics
-///
-/// See [`xnor_conv2d_into`].
-pub fn xnor_conv2d_into_backend(
-    backend: KernelBackend,
-    in_words: &[u64],
-    n: usize,
-    geom: &ConvGeometry,
-    filter: &BitFilter,
-    acc: &mut [i32],
-    out: &mut [f32],
-) {
-    let levels = [LevelFilters {
-        filter,
-        alpha: None,
-    }];
-    xnor_conv2d_levels(backend, in_words, n, geom, &levels, None, acc, out);
+    Tensor::from_vec(&[n, k, geom.oh, geom.ow], out)
 }
 
 /// One residual binarization level of a conv: its packed bit plane and
@@ -139,33 +110,27 @@ struct LevelFilters<'a> {
     alpha: Option<&'a [f32]>,
 }
 
-/// Core multi-level conv loop shared by the scaled and unscaled paths.
+/// The conv engine: a multi-level binary convolution of `n` packed
+/// items into `[n, k, oh, ow]` `out` (every element overwritten).
 ///
-/// All residual levels run **fused**: every kernel tap accumulates
-/// into `levels.len()` stacked accumulator row blocks while the input
-/// words / strided gather scratch are hot, and each output element is
+/// The interior of all `n` items runs through the GEMM tier when
+/// `gemm` is present ([`xnor_conv_gemm_levels`]); every other pixel —
+/// all of them for a layer with no interior — runs the bounds-checked
+/// border path.  All residual levels run fused: each output element is
 /// finalized once per level in ascending order (`=` for level 0, `+=`
-/// for the correction planes).  This replaces the old
-/// one-full-pass-per-level structure — which re-walked the whole image
-/// and streamed an `f32` scratch plane per extra level — with
-/// identical bit-level results: the integer mismatch counts are
-/// order-independent, and the per-element float op sequence (assign
-/// `v₀`, then `+= vₗ` ascending) is unchanged.
-///
-/// When `smap` is `Some` — the per-item `[n, oh, ow]` activation scale
-/// map — each level's finalize multiplies `alpha[f] * smap[pixel]`,
-/// exactly like the historical scaled path.
-///
-/// `acc` must hold `levels.len() * ACC_PLANES * ow` elements.
+/// for the correction planes).  When `smap` is `Some` — the `[n, oh,
+/// ow]` activation scale map — each level's finalize multiplies
+/// `alpha[f] * smap[pixel]`.
 #[allow(clippy::too_many_arguments)]
-fn xnor_conv2d_levels(
+fn conv_levels(
     backend: KernelBackend,
     in_words: &[u64],
     n: usize,
     geom: &ConvGeometry,
+    gemm: Option<&GemmPrep>,
     levels: &[LevelFilters],
     smap: Option<&[f32]>,
-    acc: &mut [i32],
+    ws: &mut Workspace,
     out: &mut [f32],
 ) {
     let (k, fc, kh, kw) = levels[0].filter.dims();
@@ -190,19 +155,42 @@ fn xnor_conv2d_levels(
         n * geom.h * geom.w * geom.wpp,
         "packed input length mismatch"
     );
-    assert_eq!(
-        acc.len(),
-        levels.len() * ACC_PLANES * geom.ow,
-        "acc scratch length mismatch"
-    );
     assert_eq!(out.len(), n * k * oplane, "output length mismatch");
     if let Some(smap) = smap {
         assert_eq!(smap.len(), n * oplane, "scale map length mismatch");
     }
+    debug_assert_eq!(gemm.is_some(), geom.interior().is_some());
+    if let Some(gp) = gemm {
+        xnor_conv_gemm_levels(backend, in_words, n, geom, gp, levels, smap, ws, out);
+    }
+    border_levels(in_words, n, geom, geom.interior(), levels, smap, out);
+}
+
+/// Every output pixel of all `n` items outside `interior` (all of them
+/// when `None`) through [`border_levels_block`], one filter block at a
+/// time.
+fn border_levels(
+    in_words: &[u64],
+    n: usize,
+    geom: &ConvGeometry,
+    interior: Option<Interior>,
+    levels: &[LevelFilters],
+    smap: Option<&[f32]>,
+    out: &mut [f32],
+) {
+    let (k, ..) = levels[0].filter.dims();
+    let oplane = geom.oh * geom.ow;
     for ni in 0..n {
         let item = &mut out[ni * k * oplane..(ni + 1) * k * oplane];
         let smap_item = smap.map(|s| &s[ni * oplane..(ni + 1) * oplane]);
-        xnor_item_levels(backend, in_words, geom, levels, ni, smap_item, acc, item);
+        let mut ki = 0;
+        while ki < k {
+            let fb = (k - ki).min(ACC_PLANES);
+            border_levels_block(
+                in_words, geom, interior, levels, ni, ki, fb, smap_item, item,
+            );
+            ki += fb;
+        }
     }
 }
 
@@ -326,234 +314,16 @@ fn finalize_one(
     }
 }
 
-/// The four tap words of a filter block (single-word channels only).
-#[inline]
-fn tap_words4(
-    filter: &BitFilter,
-    ki: usize,
-    fb: usize,
-    ky: usize,
-    kx: usize,
-    kh: usize,
-    kw: usize,
-) -> [u64; ACC_PLANES] {
-    let f_words = filter.as_words();
-    let mut ws4 = [0u64; ACC_PLANES];
-    for (f, slot) in ws4.iter_mut().enumerate().take(fb) {
-        *slot = f_words[((ki + f) * kh + ky) * kw + kx];
-    }
-    ws4
-}
-
-/// Accumulates one kernel tap into one level's `ACC_PLANES × run` row
-/// block over the chunk `done..done + src.len()`.
-fn accum_level_chunk(
-    backend: KernelBackend,
-    lacc: &mut [i32],
-    run: usize,
-    done: usize,
-    src: &[u64],
-    ws4: [u64; ACC_PLANES],
-    fb: usize,
-) {
-    let m = src.len();
-    let (a0, rest) = lacc.split_at_mut(run);
-    let (a1, rest) = rest.split_at_mut(run);
-    let (a2, a3) = rest.split_at_mut(run);
-    if fb == ACC_PLANES {
-        kernels::accum_xor_popcount_x4(
-            backend,
-            [
-                &mut a0[done..done + m],
-                &mut a1[done..done + m],
-                &mut a2[done..done + m],
-                &mut a3[done..done + m],
-            ],
-            src,
-            ws4,
-        );
-    } else {
-        let rows = [a0, a1, a2, a3];
-        for (row, &wword) in rows.into_iter().zip(&ws4).take(fb) {
-            kernels::accum_xor_popcount(backend, &mut row[done..done + m], src, wword);
-        }
-    }
-}
-
-/// One batch item (`k` output planes) of a multi-level binary
-/// convolution.
-///
-/// Filters are processed in blocks of up to four so every input word
-/// loaded in the interior loop is reused across the block, and all
-/// residual levels accumulate inside the same tap walk so the strided
-/// gather scratch (and the L1-hot input row) is shared across levels —
-/// an extra level costs one more XNOR sweep over data that is already
-/// resident, not a second full pass with its own scratch plane.  The
-/// output plane splits into the precomputed interior rectangle — all
-/// taps in bounds, handled by the branch-free dispatched kernels — and
-/// a thin border handled by the general bounds-checked path.
-///
-/// Interior loops are *row-outer*: each output row accumulates its
-/// `kh·kw` taps into `levels.len()` stacked `ACC_PLANES × run` row
-/// buffers that stay L1-resident and finalize straight into `out`
-/// (level 0 assigns, correction levels add) before moving to the next
-/// row.  Border pixels accumulate their few taps in fixed per-level
-/// register arrays and finalize immediately, so no full-plane scratch
-/// of any kind exists anywhere.
-#[allow(clippy::too_many_arguments)]
-fn xnor_item_levels(
-    backend: KernelBackend,
-    in_words: &[u64],
-    geom: &ConvGeometry,
-    levels: &[LevelFilters],
-    ni: usize,
-    smap_item: Option<&[f32]>,
-    acc: &mut [i32],
-    out: &mut [f32],
-) {
-    let (k, _, kh, kw) = levels[0].filter.dims();
-    let nl = levels.len();
-    let (c, h, w) = (geom.c, geom.h, geom.w);
-    let (stride, pad) = (geom.stride, geom.pad);
-    let (oh, ow, wpp) = (geom.oh, geom.ow, geom.wpp);
-    let oplane = oh * ow;
-    debug_assert_eq!(wpp, levels[0].filter.words_per_tap());
-    debug_assert_eq!(acc.len(), nl * ACC_PLANES * ow);
-    debug_assert_eq!(out.len(), k * oplane);
-    let full_hit = (kh * kw) as i32;
-
-    let mut ki = 0;
-    while ki < k {
-        let fb = (k - ki).min(ACC_PLANES);
-
-        if let Some(int) = geom.interior() {
-            let run = int.ox1 - int.ox0;
-            if wpp == 1 {
-                for oy in int.oy0..int.oy1 {
-                    let acc_rows = &mut acc[..nl * ACC_PLANES * run];
-                    acc_rows.fill(0);
-                    for ky in 0..kh {
-                        let iy = oy * stride + ky - pad;
-                        for kx in 0..kw {
-                            let ix0 = int.ox0 * stride + kx - pad;
-                            if stride == 1 {
-                                let src = &in_words[(ni * h + iy) * w + ix0..][..run];
-                                for (l, lv) in levels.iter().enumerate() {
-                                    accum_level_chunk(
-                                        backend,
-                                        &mut acc_rows[l * ACC_PLANES * run..][..ACC_PLANES * run],
-                                        run,
-                                        0,
-                                        src,
-                                        tap_words4(lv.filter, ki, fb, ky, kx, kh, kw),
-                                        fb,
-                                    );
-                                }
-                            } else {
-                                // Strided rows: gather each chunk into a
-                                // stack scratch once, then reuse the
-                                // contiguous dispatched kernels — the
-                                // gather cost is paid once per chunk and
-                                // shared across filters *and* levels.
-                                const GATHER: usize = 128;
-                                let row = &in_words[(ni * h + iy) * w..];
-                                let mut gat = [0u64; GATHER];
-                                let mut done = 0;
-                                while done < run {
-                                    let m = (run - done).min(GATHER);
-                                    for (i, slot) in gat.iter_mut().enumerate().take(m) {
-                                        *slot = row[ix0 + (done + i) * stride];
-                                    }
-                                    for (l, lv) in levels.iter().enumerate() {
-                                        accum_level_chunk(
-                                            backend,
-                                            &mut acc_rows[l * ACC_PLANES * run..]
-                                                [..ACC_PLANES * run],
-                                            run,
-                                            done,
-                                            &gat[..m],
-                                            tap_words4(lv.filter, ki, fb, ky, kx, kh, kw),
-                                            fb,
-                                        );
-                                    }
-                                    done += m;
-                                }
-                            }
-                        }
-                    }
-                    // Finalize this row straight from the hot buffers,
-                    // levels ascending.
-                    let row_off = oy * ow + int.ox0;
-                    let srow = smap_item.map(|s| &s[row_off..row_off + run]);
-                    for (l, lv) in levels.iter().enumerate() {
-                        for f in 0..fb {
-                            let mism = &acc_rows[(l * ACC_PLANES + f) * run..][..run];
-                            let dst = &mut out[(ki + f) * oplane + row_off..][..run];
-                            finalize_row(
-                                dst,
-                                mism,
-                                full_hit,
-                                c,
-                                l == 0,
-                                lv.alpha.map(|a| a[ki + f]),
-                                srow,
-                            );
-                        }
-                    }
-                }
-            } else {
-                // Multi-word channels: per pixel, each kernel row is a
-                // contiguous kw*wpp span for the dispatched popcount;
-                // finalize immediately, levels ascending.
-                for oy in int.oy0..int.oy1 {
-                    let iy0 = oy * stride - pad;
-                    for ox in int.ox0..int.ox1 {
-                        let ix0 = ox * stride - pad;
-                        let p = oy * ow + ox;
-                        let s = smap_item.map(|sm| sm[p]);
-                        for f in 0..fb {
-                            for (l, lv) in levels.iter().enumerate() {
-                                let f_words = lv.filter.as_words();
-                                let mut mism = 0u32;
-                                for ky in 0..kh {
-                                    let ibase = ((ni * h + iy0 + ky) * w + ix0) * wpp;
-                                    let fbase = ((ki + f) * kh + ky) * kw * wpp;
-                                    mism += kernels::xor_popcount(
-                                        backend,
-                                        &in_words[ibase..ibase + kw * wpp],
-                                        &f_words[fbase..fbase + kw * wpp],
-                                    );
-                                }
-                                finalize_one(
-                                    &mut out[(ki + f) * oplane + p],
-                                    full_hit,
-                                    c,
-                                    mism as i32,
-                                    l == 0,
-                                    lv.alpha.map(|a| a[ki + f]),
-                                    s,
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        border_levels_block(in_words, geom, levels, ni, ki, fb, smap_item, out);
-
-        ki += fb;
-    }
-}
-
 /// Border pixels for one filter block: general per-tap path with
 /// bounds checks, accumulating each (level, filter) mismatch count in
 /// a fixed register array and finalizing in place, levels ascending.
-/// `out` is the single item's `[k, oh, ow]` plane.
+/// Visits every pixel outside `interior`.  `out` is the single item's
+/// `[k, oh, ow]` plane.
 #[allow(clippy::too_many_arguments)]
 fn border_levels_block(
     in_words: &[u64],
     geom: &ConvGeometry,
+    interior: Option<Interior>,
     levels: &[LevelFilters],
     ni: usize,
     ki: usize,
@@ -567,7 +337,7 @@ fn border_levels_block(
     let oplane = oh * ow;
     let taps = geom.taps_hit();
     debug_assert!(levels.len() <= MAX_LEVELS);
-    for_each_border(oh, ow, geom.interior(), |oy, ox| {
+    for_each_border(oh, ow, interior, |oy, ox| {
         let p = oy * ow + ox;
         let mut mism = [[0i32; ACC_PLANES]; MAX_LEVELS];
         for ky in 0..kh {
@@ -685,16 +455,32 @@ fn dense_filter_words(filter: &BitFilter) -> (usize, Vec<u64>) {
     (kdense, out)
 }
 
-/// Precomputed A-matrix state for the batched GEMM tier: every
-/// residual level's filters with their receptive-field bits densely
-/// repacked by [`dense_filter_words`].  Built once at prep time and
-/// shared by all forward calls.
+/// Precomputed A-matrix state for the GEMM tier: every residual
+/// level's filters with their receptive-field bits densely repacked by
+/// [`dense_filter_words`].  Built once at prep time and shared by all
+/// forward calls.
 #[derive(Debug, Clone)]
 struct GemmPrep {
     /// Dense reduction words per filter (`⌈c·kh·kw/64⌉`).
     kdense: usize,
     /// Per level: `k * kdense` dense filter words.
     a: Vec<Vec<u64>>,
+}
+
+impl GemmPrep {
+    /// Repacks one filter plane per residual level, level 0 first.
+    fn new<'a>(levels: impl IntoIterator<Item = &'a BitFilter>) -> GemmPrep {
+        let mut kdense = 0;
+        let a = levels
+            .into_iter()
+            .map(|filter| {
+                let (kd, words) = dense_filter_words(filter);
+                kdense = kd;
+                words
+            })
+            .collect();
+        GemmPrep { kdense, a }
+    }
 }
 
 /// Packs `np` interior output pixels (linear tile indices
@@ -708,8 +494,8 @@ struct GemmPrep {
 /// multiset as the sparse tap words — the channel-padding high bits
 /// are zero in both operands by the bitpack invariant (and masked here
 /// defensively) — so `Σ_j popcount(a_dense ^ b_dense)` equals the
-/// per-tap mismatch sum of the sparse walk, word alignment
-/// notwithstanding.
+/// per-tap mismatch sum of the sparse tap-word walk the border path
+/// runs, word alignment notwithstanding.
 fn pack_b_tile(
     in_words: &[u64],
     geom: &ConvGeometry,
@@ -788,18 +574,17 @@ fn pack_b_tile(
 /// amortizing the pack cost over every filter block × residual level.
 const GEMM_TILE: usize = 1024;
 
-/// The batched bit-sliced XNOR-GEMM interior: packs tiles of interior
-/// output pixels (spanning rows *and* batch items) as dense B columns
-/// once, then streams every filter block × residual level over the
-/// same tile through the backend's [`kernels::PopcountGemm`]
-/// microkernel, fusing the per-channel affine/sign finalize into the
-/// epilogue.  Border pixels are handled separately by
-/// [`border_levels_block`].
+/// The bit-sliced XNOR-GEMM interior: packs tiles of interior output
+/// pixels (spanning rows *and* batch items) as dense B columns once,
+/// then streams every filter block × residual level over the same tile
+/// through the backend's [`kernels::PopcountGemm`] microkernel, fusing
+/// the per-channel affine/sign finalize into the epilogue.  Border
+/// pixels are handled separately by [`border_levels_block`].
 ///
-/// Bit-identical to the per-clip path: dense repacking preserves the
-/// integer mismatch counts (see [`pack_b_tile`]) and the epilogue
-/// replays the exact per-element float op sequence of
-/// [`finalize_row`].
+/// Bit-identical to sending the same pixels through the border path:
+/// dense repacking preserves the integer mismatch counts (see
+/// [`pack_b_tile`]) and [`finalize_row`] replays the per-element float
+/// op sequence of [`finalize_one`].
 #[allow(clippy::too_many_arguments)]
 fn xnor_conv_gemm_levels(
     backend: KernelBackend,
@@ -885,8 +670,8 @@ pub struct ConvPrep {
     /// level count, possibly capped lower (cascade triage runs an
     /// M-level model at M = 1).
     levels: usize,
-    /// Dense A-matrix words for the batched GEMM tier (`None` when the
-    /// layer has no interior rectangle to tile).
+    /// Dense A-matrix words for the GEMM interior (`None` when the
+    /// layer has no interior rectangle to tile and runs border-only).
     gemm: Option<GemmPrep>,
 }
 
@@ -906,9 +691,9 @@ impl ConvPrep {
         self.levels
     }
 
-    /// Whether the batched bit-sliced GEMM tier is available for this
-    /// prep (the layer has an interior rectangle to tile; batched
-    /// forwards with `n ≥ 2` will route through it).
+    /// Whether this prep runs its interior through the bit-sliced GEMM
+    /// tier, at every batch size (`false` when the layer has no
+    /// interior rectangle and runs border-only).
     pub fn gemm_tier(&self) -> bool {
         self.gemm.is_some()
     }
@@ -1128,16 +913,11 @@ impl PackedConv {
         };
         let levels = max_levels.clamp(1, self.levels());
         // Dense GEMM A-matrix per executed level: built eagerly (the
-        // prep is compiled once per plan step) so batched forwards
-        // only pack the activation side.
+        // prep is compiled once per plan step) so forwards only pack
+        // the activation side.
         let gemm = geom.interior().map(|_| {
-            let (kdense, a0) = dense_filter_words(&self.filter);
-            let mut a = Vec::with_capacity(levels);
-            a.push(a0);
-            for (filter_l, _) in &self.extra_levels[..levels - 1] {
-                a.push(dense_filter_words(filter_l).1);
-            }
-            GemmPrep { kdense, a }
+            let extra = self.extra_levels[..levels - 1].iter().map(|(f, _)| f);
+            GemmPrep::new(std::iter::once(&self.filter).chain(extra))
         });
         ConvPrep {
             geom,
@@ -1181,8 +961,9 @@ impl PackedConv {
     /// through exact per-channel threshold rules; the scaled modes use
     /// one fused pass that packs and accumulates the `|T_in|` channel
     /// mean together, then box-filters it with the O(1) sliding window.
-    /// The result is bit-for-bit identical to the old materializing
-    /// path.
+    /// The interior pixels of all `n` items then run as one bit-sliced
+    /// XNOR-GEMM and the border through the bounds-checked path, at
+    /// every batch size (see the module docs).
     ///
     /// # Panics
     ///
@@ -1196,16 +977,33 @@ impl PackedConv {
         ws: &mut Workspace,
         out: &mut [f32],
     ) {
-        self.forward_impl(prep, x, n, ws, out, false)
+        self.forward_with(prep, x, n, ws, out, |words, levels, smap, ws, out| {
+            conv_levels(
+                prep.backend,
+                words,
+                n,
+                &prep.geom,
+                prep.gemm.as_ref(),
+                levels,
+                smap,
+                ws,
+                out,
+            )
+        });
     }
 
-    /// [`PackedConv::forward_prepped`] routed through the batched
-    /// bit-sliced XNOR-GEMM tier: interior pixels of all `n` items are
-    /// tiled together as dense B columns and streamed through the
-    /// backend's [`kernels::PopcountGemm`] microkernel (bit-identical
-    /// to the per-clip path; see [`ConvPrep::gemm_tier`]).  With
-    /// `n < 2` or no interior it falls back to the per-clip engine.
-    pub fn forward_prepped_batch(
+    /// Test oracle for [`PackedConv::forward_prepped`]: the same
+    /// binarize+pack, with every output pixel — the interior included —
+    /// sent through the bounds-checked border path.  No dense B-repack
+    /// and no GEMM, so it checks the GEMM tier against an independent
+    /// count; the finalize float ops are the same, so the outputs must
+    /// match bit for bit.  Only compiled with the `oracle` feature.
+    ///
+    /// # Panics
+    ///
+    /// As [`PackedConv::forward_prepped`].
+    #[cfg(feature = "oracle")]
+    pub fn forward_reference(
         &self,
         prep: &ConvPrep,
         x: &[f32],
@@ -1213,17 +1011,22 @@ impl PackedConv {
         ws: &mut Workspace,
         out: &mut [f32],
     ) {
-        self.forward_impl(prep, x, n, ws, out, true)
+        self.forward_with(prep, x, n, ws, out, |words, levels, smap, _, out| {
+            border_levels(words, n, &prep.geom, None, levels, smap, out)
+        });
     }
 
-    fn forward_impl(
+    /// Binarizes and packs `x` (batch-norm affine fused), builds the
+    /// residual level table, and hands the packed words, the levels and
+    /// the activation scale map (scaled modes) to `conv`.
+    fn forward_with(
         &self,
         prep: &ConvPrep,
         x: &[f32],
         n: usize,
         ws: &mut Workspace,
         out: &mut [f32],
-        batched: bool,
+        conv: impl FnOnce(&[u64], &[LevelFilters], Option<&[f32]>, &mut Workspace, &mut [f32]),
     ) {
         let c = self.bn_scale.len();
         let geom = &prep.geom;
@@ -1235,8 +1038,7 @@ impl PackedConv {
         let (h, w) = (geom.h, geom.w);
         let plane = h * w;
         assert_eq!(x.len(), n * c * plane, "input length mismatch");
-        let (oh, ow) = (geom.oh, geom.ow);
-        let oplane = oh * ow;
+        let oplane = geom.oh * geom.ow;
         let ko = self.alpha_w.len();
         assert_eq!(out.len(), n * ko * oplane, "output length mismatch");
         let wpp = geom.wpp;
@@ -1308,47 +1110,7 @@ impl PackedConv {
             smap = Some(sm);
         }
 
-        match (batched && n >= 2, prep.gemm.as_ref()) {
-            (true, Some(gp)) => {
-                xnor_conv_gemm_levels(
-                    prep.backend,
-                    &words,
-                    n,
-                    geom,
-                    gp,
-                    &lv[..nl],
-                    smap.as_deref(),
-                    ws,
-                    out,
-                );
-                // Border pixels per item: the same bounds-checked path
-                // as the per-clip engine.
-                for ni in 0..n {
-                    let item = &mut out[ni * ko * oplane..(ni + 1) * ko * oplane];
-                    let smap_item = smap.as_deref().map(|s| &s[ni * oplane..(ni + 1) * oplane]);
-                    let mut ki = 0;
-                    while ki < ko {
-                        let fb = (ko - ki).min(ACC_PLANES);
-                        border_levels_block(&words, geom, &lv[..nl], ni, ki, fb, smap_item, item);
-                        ki += fb;
-                    }
-                }
-            }
-            _ => {
-                let mut acc = ws.take_i32(nl * ACC_PLANES * ow);
-                xnor_conv2d_levels(
-                    prep.backend,
-                    &words,
-                    n,
-                    geom,
-                    &lv[..nl],
-                    smap.as_deref(),
-                    &mut acc,
-                    out,
-                );
-                ws.give_i32(acc);
-            }
-        }
+        conv(&words, &lv[..nl], smap.as_deref(), ws, out);
         if let Some(sm) = smap {
             ws.give_f32(sm);
         }

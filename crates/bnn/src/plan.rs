@@ -11,7 +11,16 @@
 //! activations, packed sign words, popcount scratch, scale maps, the
 //! pooled features — drawn from a [`Workspace`], so a warm plan
 //! performs **zero heap allocations per forward** (enforced by the
-//! `alloc_steady_state` integration test).
+//! `alloc_steady_state` and `alloc_batched` integration tests).
+//!
+//! There is one engine and one run path.  Every run splits its batch
+//! into working-set-sized chunks and every conv step of a chunk runs
+//! [`PackedConv::forward_prepped`]: a bit-sliced XNOR-GEMM over the
+//! interior pixels of all the chunk's clips plus the bounds-checked
+//! border path.  A single clip takes the same path as a full batch;
+//! [`ExecPlan::run_into`], [`ExecPlan::run_batch_into`] and the
+//! profiled and feature-map variants differ only in what they record
+//! or return.
 //!
 //! The plan borrows the model (`ExecPlan<'m>`) and is immutable after
 //! compilation, so one plan can be shared by many rayon workers, each
@@ -334,8 +343,9 @@ impl<'m> ExecPlan<'m> {
     }
 
     /// A [`SlotProfiler`] sized and named for this plan, for use with
-    /// [`run_into_profiled`](ExecPlan::run_into_profiled).  Parallel
-    /// workers build one each and [`SlotProfiler::merge`] afterwards.
+    /// [`run_batch_into_profiled`](ExecPlan::run_batch_into_profiled).
+    /// Parallel workers build one each and [`SlotProfiler::merge`]
+    /// afterwards.
     pub fn profiler(&self) -> SlotProfiler {
         SlotProfiler::new(self.slot_names())
     }
@@ -348,52 +358,72 @@ impl<'m> ExecPlan<'m> {
 
     /// Runs the plan on a `[n, c, h, w]` input slice (`±1` values,
     /// `c`/`h`/`w` as compiled), writing `[n, classes]` logits into
-    /// `logits`.  All intermediates come from `ws`; after one warm-up
-    /// call with the same `n`, subsequent calls allocate nothing.
+    /// `logits`.
+    ///
+    /// Every batch size runs the one conv engine: per conv step, the
+    /// interior pixels of all clips in a chunk form one bit-sliced
+    /// XNOR-GEMM and the border runs the bounds-checked path (see
+    /// [`PackedConv::forward_prepped`]).  The batch is split into chunks
+    /// sized to a working-set budget; items are independent, so the
+    /// split never changes an output bit.  All intermediates come from
+    /// `ws`; after one warm-up call with the same `n`, subsequent calls
+    /// allocate nothing.
     ///
     /// # Panics
     ///
     /// Panics when a slice length disagrees with the compiled shapes.
     pub fn run_into(&self, input: &[f32], n: usize, ws: &mut Workspace, logits: &mut [f32]) {
-        self.run_impl(input, n, ws, logits, None, false);
+        self.run_impl(input, n, ws, logits, None);
     }
 
-    /// [`run_into`](ExecPlan::run_into) routed through the batched
-    /// bit-sliced XNOR-GEMM tier: conv steps call
-    /// [`PackedConv::forward_prepped_batch`]
-    /// (crate::packed::PackedConv::forward_prepped_batch), which tiles
-    /// interior pixels of all `n` clips as dense B columns of a
-    /// `popcount(A ^ B)` GEMM when `n >= 2` and the layer has a GEMM
-    /// prep.  Bit-identical to `n` separate [`run_into`]
-    /// (ExecPlan::run_into) calls (property-tested per backend); same
-    /// zero-allocation-once-warm workspace discipline.
+    /// The same call as [`run_into`](ExecPlan::run_into), under the
+    /// name batch-oriented callers use.
     ///
     /// # Panics
     ///
     /// Panics when a slice length disagrees with the compiled shapes.
     pub fn run_batch_into(&self, input: &[f32], n: usize, ws: &mut Workspace, logits: &mut [f32]) {
-        let classes = self.model.fc_weight().shape()[0];
-        let item = self.input_c * self.input_hw.0 * self.input_hw.1;
-        assert_eq!(input.len(), n * item, "input length mismatch");
-        assert_eq!(logits.len(), n * classes, "logits length mismatch");
-        let chunk = self.batch_chunk();
-        for (inp, lg) in input
-            .chunks(chunk * item)
-            .zip(logits.chunks_mut(chunk * classes))
-        {
-            self.run_impl(inp, inp.len() / item, ws, lg, None, true);
-        }
+        self.run_impl(input, n, ws, logits, None);
     }
 
-    /// Items per internal sub-batch of the batched tier.  Running the
-    /// whole batch layer-by-layer scales the three ping-pong f32
-    /// buffers with `n`, and past the last-level cache that costs more
-    /// than GEMM tiling wins — batch 16 of the paper's 128×128 net is
-    /// a ~24 MB working set.  So batched entry points split the batch
-    /// into chunks sized to a fixed working-set budget; a chunk of
-    /// even 3–4 items already fills the GEMM tiles of the smallest
-    /// late-layer feature maps.  Item order (and therefore every
-    /// output bit) is unchanged — items are independent.
+    /// [`run_into`](ExecPlan::run_into) with per-layer timing: each
+    /// step's wall-clock nanoseconds accumulate into the matching slot
+    /// of `prof` (built by [`profiler`](ExecPlan::profiler)), one
+    /// `record_since` per chunk per step.  The math and the chunking
+    /// are those of the unprofiled call, so the logits are bit-identical
+    /// to it; once warm the profiled path performs the same zero heap
+    /// allocations — profiling only adds clock reads and `u64`
+    /// arithmetic.
+    ///
+    /// # Panics
+    ///
+    /// Panics on shape mismatches (as [`run_into`](ExecPlan::run_into))
+    /// or when `prof` was built for a different plan shape.
+    pub fn run_batch_into_profiled(
+        &self,
+        input: &[f32],
+        n: usize,
+        ws: &mut Workspace,
+        logits: &mut [f32],
+        prof: &mut SlotProfiler,
+    ) {
+        assert_eq!(
+            prof.slot_count(),
+            self.steps.len() + 2,
+            "profiler was built for a different plan"
+        );
+        self.run_impl(input, n, ws, logits, Some(prof));
+    }
+
+    /// Items per internal chunk of a run.  Running the whole batch
+    /// layer-by-layer scales the three ping-pong f32 buffers with `n`,
+    /// and past the last-level cache that costs more than GEMM tiling
+    /// wins — batch 16 of the paper's 128×128 net is a ~24 MB working
+    /// set.  So every run splits the batch into chunks sized to a fixed
+    /// working-set budget; a chunk of even 3–4 items already fills the
+    /// GEMM tiles of the smallest late-layer feature maps.  Item order
+    /// (and therefore every output bit) is unchanged — items are
+    /// independent.
     fn batch_chunk(&self) -> usize {
         static OVERRIDE: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
         if let Some(c) = OVERRIDE.get_or_init(|| {
@@ -411,67 +441,6 @@ impl<'m> ExecPlan<'m> {
         (WORKING_SET_BUDGET / per_item.max(1)).clamp(2, 64)
     }
 
-    /// [`run_into`](ExecPlan::run_into) with per-layer timing: each
-    /// step's wall-clock nanoseconds accumulate into the matching slot
-    /// of `prof` (built by [`profiler`](ExecPlan::profiler)).  The
-    /// profiled path performs the same zero heap allocations as the
-    /// unprofiled one once warm — profiling only adds clock reads and
-    /// `u64` arithmetic.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatches (as [`run_into`](ExecPlan::run_into))
-    /// or when `prof` was built for a different plan shape.
-    pub fn run_into_profiled(
-        &self,
-        input: &[f32],
-        n: usize,
-        ws: &mut Workspace,
-        logits: &mut [f32],
-        prof: &mut SlotProfiler,
-    ) {
-        assert_eq!(
-            prof.slot_count(),
-            self.steps.len() + 2,
-            "profiler was built for a different plan"
-        );
-        self.run_impl(input, n, ws, logits, Some(prof), false);
-    }
-
-    /// [`run_batch_into`](ExecPlan::run_batch_into) with per-layer
-    /// timing, as [`run_into_profiled`](ExecPlan::run_into_profiled).
-    /// Chunked sub-batches accumulate into the same slots (one
-    /// `record_since` per chunk per step).
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatches or a profiler from a different plan.
-    pub fn run_batch_into_profiled(
-        &self,
-        input: &[f32],
-        n: usize,
-        ws: &mut Workspace,
-        logits: &mut [f32],
-        prof: &mut SlotProfiler,
-    ) {
-        assert_eq!(
-            prof.slot_count(),
-            self.steps.len() + 2,
-            "profiler was built for a different plan"
-        );
-        let classes = self.model.fc_weight().shape()[0];
-        let item = self.input_c * self.input_hw.0 * self.input_hw.1;
-        assert_eq!(input.len(), n * item, "input length mismatch");
-        assert_eq!(logits.len(), n * classes, "logits length mismatch");
-        let chunk = self.batch_chunk();
-        for (inp, lg) in input
-            .chunks(chunk * item)
-            .zip(logits.chunks_mut(chunk * classes))
-        {
-            self.run_impl(inp, inp.len() / item, ws, lg, Some(prof), true);
-        }
-    }
-
     fn run_impl(
         &self,
         input: &[f32],
@@ -479,23 +448,34 @@ impl<'m> ExecPlan<'m> {
         ws: &mut Workspace,
         logits: &mut [f32],
         mut prof: Option<&mut SlotProfiler>,
-        batched: bool,
     ) {
         let (h, w) = self.input_hw;
-        assert_eq!(
-            input.len(),
-            n * self.input_c * h * w,
-            "input length mismatch"
-        );
+        let item = self.input_c * h * w;
+        assert_eq!(input.len(), n * item, "input length mismatch");
         let classes = self.model.fc_weight().shape()[0];
         assert_eq!(logits.len(), n * classes, "logits length mismatch");
+        let chunk = self.batch_chunk();
+        for (inp, lg) in input
+            .chunks(chunk * item)
+            .zip(logits.chunks_mut(chunk * classes))
+        {
+            self.run_chunk(inp, inp.len() / item, ws, lg, prof.as_deref_mut());
+        }
+    }
 
-        let mut bufs = [
-            ws.take_f32(n * self.buf_elems[0]),
-            ws.take_f32(n * self.buf_elems[1]),
-            ws.take_f32(n * self.buf_elems[2]),
-        ];
-        self.exec_steps(input, n, ws, &mut bufs, &mut prof, batched);
+    /// One chunk of [`run_impl`](ExecPlan::run_impl): the layer steps,
+    /// then global average pooling and the classifier.
+    fn run_chunk(
+        &self,
+        input: &[f32],
+        n: usize,
+        ws: &mut Workspace,
+        logits: &mut [f32],
+        mut prof: Option<&mut SlotProfiler>,
+    ) {
+        let classes = self.model.fc_weight().shape()[0];
+        let mut bufs = self.take_bufs(n, ws);
+        self.exec_steps(input, n, ws, &mut bufs, &mut prof);
 
         // Global average pool + full-precision classifier, with the
         // same accumulation order as the structural forward.
@@ -531,10 +511,18 @@ impl<'m> ExecPlan<'m> {
             p.record_since(gap_slot + 1, t);
         }
         ws.give_f32(pooled);
-        let [b0, b1, b2] = bufs;
-        ws.give_f32(b0);
-        ws.give_f32(b1);
-        ws.give_f32(b2);
+        self.give_bufs(bufs, ws);
+    }
+
+    /// The three ping-pong activation buffers for an `n`-item chunk.
+    fn take_bufs(&self, n: usize, ws: &mut Workspace) -> [Vec<f32>; 3] {
+        self.buf_elems.map(|e| ws.take_f32(n * e))
+    }
+
+    fn give_bufs(&self, bufs: [Vec<f32>; 3], ws: &mut Workspace) {
+        for b in bufs {
+            ws.give_f32(b);
+        }
     }
 
     /// Executes the layer steps of the plan, leaving the final feature
@@ -546,7 +534,6 @@ impl<'m> ExecPlan<'m> {
         ws: &mut Workspace,
         bufs: &mut [Vec<f32>; 3],
         prof: &mut Option<&mut SlotProfiler>,
-        batched: bool,
     ) {
         for (si, step) in self.steps.iter().enumerate() {
             let t0 = prof.as_ref().map(|p| p.begin());
@@ -560,18 +547,14 @@ impl<'m> ExecPlan<'m> {
                     out_elems,
                 } => {
                     let out_len = n * out_elems;
-                    let fwd = if batched {
-                        PackedConv::forward_prepped_batch
-                    } else {
-                        PackedConv::forward_prepped
-                    };
                     match src {
-                        Src::Input => fwd(conv, prep, input, n, ws, &mut bufs[*dst][..out_len]),
+                        Src::Input => {
+                            conv.forward_prepped(prep, input, n, ws, &mut bufs[*dst][..out_len])
+                        }
                         Src::Buf(s) => {
                             let in_len = n * conv.in_channels() * in_hw.0 * in_hw.1;
                             let (src_buf, dst_buf) = two_bufs(bufs, *s, *dst);
-                            fwd(
-                                conv,
+                            conv.forward_prepped(
                                 prep,
                                 &src_buf[..in_len],
                                 n,
@@ -610,9 +593,9 @@ impl<'m> ExecPlan<'m> {
     /// the raw `[n, c, h, w]` feature map into `features` (shape from
     /// [`feature_shape`](ExecPlan::feature_shape)).  The full-chip
     /// scanner runs a prefix segment this way once per band and feeds
-    /// the features to per-window suffix plans.  Same workspace
-    /// discipline as [`run_into`](ExecPlan::run_into): zero heap
-    /// allocations once warm.
+    /// the features to per-window suffix plans.  Same engine, chunking
+    /// and workspace discipline as [`run_into`](ExecPlan::run_into):
+    /// zero heap allocations once warm.
     ///
     /// # Panics
     ///
@@ -624,80 +607,29 @@ impl<'m> ExecPlan<'m> {
         ws: &mut Workspace,
         features: &mut [f32],
     ) {
-        self.run_features_impl(input, n, ws, features, false);
-    }
-
-    /// [`run_features_into`](ExecPlan::run_features_into) routed
-    /// through the batched XNOR-GEMM tier (see [`run_batch_into`]
-    /// (ExecPlan::run_batch_into)).  Bit-identical to the per-item
-    /// path; the scanner uses this for multi-window suffix batches.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a slice length disagrees with the compiled shapes.
-    pub fn run_features_batch_into(
-        &self,
-        input: &[f32],
-        n: usize,
-        ws: &mut Workspace,
-        features: &mut [f32],
-    ) {
-        self.run_features_impl(input, n, ws, features, true);
-    }
-
-    fn run_features_impl(
-        &self,
-        input: &[f32],
-        n: usize,
-        ws: &mut Workspace,
-        features: &mut [f32],
-        batched: bool,
-    ) {
         let (h, w) = self.input_hw;
-        assert_eq!(
-            input.len(),
-            n * self.input_c * h * w,
-            "input length mismatch"
-        );
+        let item = self.input_c * h * w;
+        assert_eq!(input.len(), n * item, "input length mismatch");
         let (fc, fh, fw) = self.feature_shape();
-        assert_eq!(
-            features.len(),
-            n * fc * fh * fw,
-            "feature buffer length mismatch"
-        );
-        // Same working-set chunking as `run_batch_into`.
-        let chunk = if batched {
-            self.batch_chunk()
-        } else {
-            n.max(1)
-        };
-        if n > chunk {
-            let item = self.input_c * h * w;
-            for (inp, ft) in input
-                .chunks(chunk * item)
-                .zip(features.chunks_mut(chunk * fc * fh * fw))
-            {
-                self.run_features_impl(inp, inp.len() / item, ws, ft, batched);
-            }
-            return;
+        let feat = fc * fh * fw;
+        assert_eq!(features.len(), n * feat, "feature buffer length mismatch");
+        let chunk = self.batch_chunk();
+        for (inp, ft) in input
+            .chunks(chunk * item)
+            .zip(features.chunks_mut(chunk * feat))
+        {
+            let m = inp.len() / item;
+            let mut bufs = self.take_bufs(m, ws);
+            self.exec_steps(inp, m, ws, &mut bufs, &mut None);
+            ft.copy_from_slice(&bufs[self.final_buf][..m * feat]);
+            self.give_bufs(bufs, ws);
         }
-        let mut bufs = [
-            ws.take_f32(n * self.buf_elems[0]),
-            ws.take_f32(n * self.buf_elems[1]),
-            ws.take_f32(n * self.buf_elems[2]),
-        ];
-        self.exec_steps(input, n, ws, &mut bufs, &mut None, batched);
-        features.copy_from_slice(&bufs[self.final_buf][..n * fc * fh * fw]);
-        let [b0, b1, b2] = bufs;
-        ws.give_f32(b0);
-        ws.give_f32(b1);
-        ws.give_f32(b2);
     }
 
     /// Whether any conv step of this plan carries a GEMM prep — i.e.
-    /// whether [`run_batch_into`](ExecPlan::run_batch_into) actually
-    /// engages the bit-sliced XNOR-GEMM tier for batches of 2+ (layers
-    /// whose output is all border pixels compile without one).
+    /// whether its runs engage the bit-sliced XNOR-GEMM tier, which
+    /// they then do at every batch size (layers whose output is all
+    /// border pixels compile without one and run border-only).
     /// Benchmarks report this so throughput numbers name the tier that
     /// produced them.
     pub fn gemm_tier(&self) -> bool {
@@ -922,7 +854,7 @@ mod tests {
         plan.run_into(&input, 2, &mut ws, &mut plain);
         let mut prof = plan.profiler();
         let mut profiled = vec![0.0f32; 2 * 2];
-        plan.run_into_profiled(&input, 2, &mut ws, &mut profiled, &mut prof);
+        plan.run_batch_into_profiled(&input, 2, &mut ws, &mut profiled, &mut prof);
         assert_eq!(plain, profiled, "profiling must not change the math");
 
         let report = prof.report();
@@ -934,7 +866,7 @@ mod tests {
         assert!(report.iter().any(|s| s.name == "res1.conv1"));
         assert!(report.iter().any(|s| s.name == "res2.shortcut"));
         // A second profiled run doubles every call count.
-        plan.run_into_profiled(&input, 2, &mut ws, &mut profiled, &mut prof);
+        plan.run_batch_into_profiled(&input, 2, &mut ws, &mut profiled, &mut prof);
         assert!(prof.report().iter().all(|s| s.calls == 2));
     }
 
@@ -964,7 +896,7 @@ mod tests {
         let mut prof = hotspot_telemetry::SlotProfiler::new(vec!["only".into()]);
         let input = pm_input(1, 16, 2);
         let mut logits = vec![0.0f32; 2];
-        plan.run_into_profiled(&input, 1, &mut Workspace::new(), &mut logits, &mut prof);
+        plan.run_batch_into_profiled(&input, 1, &mut Workspace::new(), &mut logits, &mut prof);
     }
 
     #[test]

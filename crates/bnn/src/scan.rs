@@ -498,8 +498,6 @@ impl<'m> Scanner<'m> {
                 image_to_signed_into(crop, &mut input[i * side * side..(i + 1) * side * side]);
             }
             let mut logits = ws.take_f32(n * classes);
-            // Multi-window chunks engage the bit-sliced XNOR-GEMM tier
-            // (bit-identical to per-window execution).
             plan.run_batch_into(&input, n, ws, &mut logits);
             for i in 0..n {
                 out[ci * BATCH + i] = logits[i * classes + 1] - logits[i * classes];
@@ -568,7 +566,7 @@ impl<'m> Scanner<'m> {
                     }
                 }
                 let lo = bi * BATCH * pc * oh * sow_strip;
-                reuse.strip_plan.run_features_batch_into(
+                reuse.strip_plan.run_features_into(
                     &input,
                     n,
                     ws,

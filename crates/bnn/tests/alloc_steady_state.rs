@@ -113,7 +113,12 @@ fn warm_plan_forward_performs_zero_heap_allocations() {
          map + channel mean), got {f32s}"
     );
     assert!(i32s <= 1, "one popcount accumulator block, got {i32s}");
-    assert!(u64s <= 1, "one packed-words buffer, got {u64s}");
+    // Every conv interior runs the XNOR-GEMM engine, which stages its
+    // dense B tile next to the packed input words.
+    assert!(
+        u64s <= 2,
+        "one packed-words buffer and one GEMM B tile, got {u64s}"
+    );
     assert!(
         f64s <= 1,
         "one sliding-filter column-sum buffer, got {f64s}"
@@ -125,11 +130,11 @@ fn warm_plan_forward_performs_zero_heap_allocations() {
     // monotonic counter read.  The profiler itself allocates at build
     // time, outside the measured window.
     let mut prof = plan.profiler();
-    plan.run_into_profiled(&input, n, &mut ws, &mut logits, &mut prof);
+    plan.run_batch_into_profiled(&input, n, &mut ws, &mut logits, &mut prof);
 
     ALLOC_CALLS.store(0, Ordering::SeqCst);
     COUNTING.store(true, Ordering::SeqCst);
-    plan.run_into_profiled(&input, n, &mut ws, &mut logits, &mut prof);
+    plan.run_batch_into_profiled(&input, n, &mut ws, &mut logits, &mut prof);
     COUNTING.store(false, Ordering::SeqCst);
     let allocs = ALLOC_CALLS.load(Ordering::SeqCst);
 

@@ -6,10 +6,58 @@ use hotspot_bnn::{
     BnnResNet, KernelBackend, NetConfig, PackedBnn, PackedConv, ScalingMode,
 };
 use hotspot_nn::Layer;
-use hotspot_tensor::{conv2d, Tensor, Workspace};
+use hotspot_tensor::{conv2d, global_avg_pool_into, Tensor, Workspace};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// Whole-network logits with every conv run by
+/// `PackedConv::forward_reference` — the bounds-checked border path at
+/// every output pixel, no B-repack and no GEMM — walked structurally
+/// over the model (stem, residual blocks, average pool, classifier) in
+/// the execution plan's accumulation order.  The oracle the GEMM
+/// engine is checked against.
+fn reference_logits(packed: &PackedBnn, input: &[f32], n: usize, side: usize) -> Vec<f32> {
+    let mut ws = Workspace::new();
+    let mut run = |conv: &PackedConv, x: &[f32], (h, w): (usize, usize)| {
+        let prep = conv.prepare_with_backend(h, w, KernelBackend::Scalar);
+        let (oh, ow) = conv.output_hw(h, w);
+        let mut out = vec![0.0f32; n * conv.out_channels() * oh * ow];
+        conv.forward_reference(&prep, x, n, &mut ws, &mut out);
+        (out, (oh, ow))
+    };
+    let (mut act, mut hw) = run(packed.stem(), input, (side, side));
+    let mut c = packed.stem().out_channels();
+    for block in packed.blocks() {
+        let (mid, mid_hw) = run(block.conv1(), &act, hw);
+        let (mut out, out_hw) = run(block.conv2(), &mid, mid_hw);
+        let shortcut = match block.shortcut() {
+            Some(sc) => run(sc, &act, hw).0,
+            None => act,
+        };
+        for (o, s) in out.iter_mut().zip(&shortcut) {
+            *o += s;
+        }
+        act = out;
+        hw = out_hw;
+        c = block.out_channels();
+    }
+    let mut pooled = vec![0.0f32; n * c];
+    global_avg_pool_into(&act, n, c, hw.0, hw.1, &mut pooled);
+    let (fcw, fcb) = (packed.fc_weight().as_slice(), packed.fc_bias().as_slice());
+    let classes = fcb.len();
+    let mut logits = vec![0.0f32; n * classes];
+    for ni in 0..n {
+        for oi in 0..classes {
+            let mut acc = fcb[oi];
+            for ii in 0..c {
+                acc += fcw[oi * c + ii] * pooled[ni * c + ii];
+            }
+            logits[ni * classes + oi] = acc;
+        }
+    }
+    logits
+}
 
 fn arb_tensor(shape: &'static [usize]) -> impl Strategy<Value = Tensor> {
     let numel: usize = shape.iter().product();
@@ -285,12 +333,51 @@ proptest! {
         }
     }
 
-    /// The batched XNOR-GEMM tier is **bit-identical** to per-item
-    /// execution: `run_batch_into` over a batch of N clips produces the
-    /// same logits as N separate `run_into` calls, across batch sizes
-    /// that cover the GEMM tile tail cases, M ∈ {1, 2}, and every
-    /// compiled-in kernel backend (forcing a backend forces its GEMM
-    /// counterpart too).
+    /// The GEMM engine is **bit-identical** to an independent oracle:
+    /// whole-plan logits equal those of a structural walk whose convs
+    /// send every output pixel through the bounds-checked border path
+    /// (no B-repack, no GEMM), for batch sizes that cover the GEMM tile
+    /// tail cases (a single clip included), M ∈ {1, 2, 3}, every
+    /// scaling mode, and every compiled-in kernel backend.
+    #[test]
+    fn plan_matches_border_reference(
+        seed in 0u64..8,
+        batch_idx in 0usize..5,
+        levels in 1usize..4,
+        mode_idx in 0usize..3,
+    ) {
+        let n = [1usize, 2, 3, 8, 17][batch_idx];
+        let mode = [ScalingMode::PlainSign, ScalingMode::Shared, ScalingMode::PerChannel][mode_idx];
+        let mut cfg = NetConfig::tiny(16).with_levels(levels);
+        cfg.scaling = mode;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let packed = PackedBnn::compile(&BnnResNet::new(&cfg, &mut rng));
+        let mut state = seed as u32 ^ 0x04ac_1e5e;
+        let input: Vec<f32> = (0..n * 16 * 16).map(|_| {
+            state = state.wrapping_mul(1664525).wrapping_add(1013904223);
+            if state & 0x8000 == 0 { 1.0 } else { -1.0 }
+        }).collect();
+        let expect = reference_logits(&packed, &input, n, 16);
+        for backend in KernelBackend::available() {
+            let plan = packed.plan_with_backend((16, 16), backend);
+            prop_assert!(plan.gemm_tier());
+            let mut logits = vec![0.0f32; n * 2];
+            plan.run_into(&input, n, &mut Workspace::new(), &mut logits);
+            prop_assert_eq!(
+                &logits, &expect,
+                "M={} n={} {:?} on {} diverged from the border-path oracle",
+                levels, n, mode, backend.name()
+            );
+        }
+    }
+
+    /// Batch composition never changes a bit: `run_batch_into` over N
+    /// clips — GEMM tiles spanning clip boundaries, chunked — produces
+    /// the same logits as N separate single-clip `run_into` calls,
+    /// across batch sizes that cover the tile tail cases, M ∈ {1, 2},
+    /// and every compiled-in kernel backend (forcing a backend forces
+    /// its GEMM counterpart too).  Both sides run the GEMM engine; the
+    /// independent check is `plan_matches_border_reference`.
     #[test]
     fn batched_gemm_tier_matches_per_item(
         seed in 0u64..8,
@@ -329,11 +416,12 @@ proptest! {
         }
     }
 
-    /// Conv-level batched/per-item equivalence at channel counts that
-    /// cross the 64-bit word boundary — the dense B-repack handles
-    /// word spills and partial high words, so exercise c just below,
-    /// at, and above multiples of 64, with M ∈ {1, 2} and both an
-    /// affine scale map and plain-sign scaling.
+    /// Conv-level GEMM/oracle equivalence at channel counts that cross
+    /// the 64-bit word boundary — the dense B-repack handles word
+    /// spills and partial high words, so exercise c just below, at, and
+    /// above multiples of 64, with M ∈ {1, 2}, one clip and three, and
+    /// both an affine scale map and plain-sign scaling.  The reference
+    /// sends every pixel through the bounds-checked border path.
     #[test]
     fn batched_conv_word_boundary_channels(
         seed in 0u64..30,
@@ -383,29 +471,25 @@ proptest! {
             scaling,
             extra_levels,
         );
-        let n = 3usize;
-        let x: Vec<f32> = smallf(st, n * c * h * w);
+        let x: Vec<f32> = smallf(st, 3 * c * h * w);
         let (oh, ow) = conv.output_hw(h, w);
         let out_len = kf * oh * ow;
-        for backend in KernelBackend::available() {
-            let prep = conv.prepare_with_backend(h, w, backend);
-            let mut ws = Workspace::new();
+        for n in [1usize, 3] {
+            let x = &x[..n * c * h * w];
             let mut expect = vec![0.0f32; n * out_len];
-            for i in 0..n {
-                conv.forward_prepped(
-                    &prep,
-                    &x[i * c * h * w..(i + 1) * c * h * w],
-                    1,
-                    &mut ws,
-                    &mut expect[i * out_len..(i + 1) * out_len],
+            let prep = conv.prepare_with_backend(h, w, KernelBackend::Scalar);
+            conv.forward_reference(&prep, x, n, &mut Workspace::new(), &mut expect);
+            for backend in KernelBackend::available() {
+                let prep = conv.prepare_with_backend(h, w, backend);
+                prop_assert!(prep.gemm_tier());
+                let mut got = vec![0.0f32; n * out_len];
+                conv.forward_prepped(&prep, x, n, &mut Workspace::new(), &mut got);
+                prop_assert_eq!(
+                    &got, &expect,
+                    "conv c={} M={} n={} {:?} on {} diverged from the oracle",
+                    c, levels, n, scaling, backend.name()
                 );
             }
-            let mut batched = vec![0.0f32; n * out_len];
-            conv.forward_prepped_batch(&prep, &x, n, &mut ws, &mut batched);
-            prop_assert_eq!(
-                &batched, &expect,
-                "batched conv c={} M={} {:?} on {} diverged", c, levels, scaling, backend.name()
-            );
         }
     }
 

@@ -868,8 +868,6 @@ impl BnnDetector {
                     input[i * plane..(i + 1) * plane].copy_from_slice(t.as_slice());
                 }
                 let mut logits = ws.take_f32(n * 2);
-                // Multi-clip shards go through the bit-sliced XNOR-GEMM
-                // tier; it is bit-identical to per-clip execution.
                 plan.run_batch_into(&input, n, &mut ws, &mut logits);
                 let out: Vec<f32> = (0..n).map(|i| logits[2 * i + 1] - logits[2 * i]).collect();
                 ws.give_f32(logits);
@@ -915,7 +913,7 @@ impl BnnDetector {
                     input[i * plane..(i + 1) * plane].copy_from_slice(t.as_slice());
                 }
                 let mut logits = ws.take_f32(n * 2);
-                plan.run_into_profiled(&input, n, &mut ws, &mut logits, &mut prof);
+                plan.run_batch_into_profiled(&input, n, &mut ws, &mut logits, &mut prof);
                 let out: Vec<f32> = (0..n).map(|i| logits[2 * i + 1] - logits[2 * i]).collect();
                 ws.give_f32(logits);
                 ws.give_f32(input);

@@ -107,10 +107,13 @@ pub struct ServeConfig {
     pub window_slice_ns: u64,
     /// Drift-monitor tuning (baseline size, window, thresholds).
     pub drift: DriftConfig,
-    /// When `true`, workers run the triage pass profiled and export
-    /// per-layer timings (`serve_layer_ns_total{slot=...}`) on the
-    /// scrape.  Off by default: per-layer clocks cost a few percent of
-    /// throughput.
+    /// When `true`, workers time every layer of the triage and confirm
+    /// passes and export the timings
+    /// (`serve_layer_triage_ns_total{slot=...}` and
+    /// `serve_layer_confirm_*`) on the scrape.  The profiled passes run
+    /// the same chunked engine as unprofiled ones, so replies are
+    /// bit-identical.  Off by default: per-layer clocks cost a few
+    /// percent of throughput.
     pub profile_layers: bool,
 }
 
@@ -1334,13 +1337,13 @@ fn classify_batch(
         input[i * plane..(i + 1) * plane].copy_from_slice(clip);
     }
     let mut logits = ws.take_f32(n * 2);
+    // Profiled or not, the batch runs the same chunked engine, so a
+    // profile describes the code that serves.
     if shared.config.profile_layers {
         let mut prof = triage.profiler();
-        triage.run_into_profiled(&input, n, ws, &mut logits, &mut prof);
+        triage.run_batch_into_profiled(&input, n, ws, &mut logits, &mut prof);
         prof.export_to(&shared.registry, "serve_layer_triage", "slot");
     } else {
-        // Batches of 2+ clips engage the bit-sliced XNOR-GEMM tier
-        // (bit-identical to per-clip execution).
         triage.run_batch_into(&input, n, ws, &mut logits);
     }
     let mut results: Vec<ClipResult> = (0..n)
@@ -1373,7 +1376,7 @@ fn classify_batch(
             let mut clogits = ws.take_f32(m * 2);
             if shared.config.profile_layers {
                 let mut prof = confirm.profiler();
-                confirm.run_into_profiled(&cinput, m, ws, &mut clogits, &mut prof);
+                confirm.run_batch_into_profiled(&cinput, m, ws, &mut clogits, &mut prof);
                 prof.export_to(&shared.registry, "serve_layer_confirm", "slot");
             } else {
                 confirm.run_batch_into(&cinput, m, ws, &mut clogits);
