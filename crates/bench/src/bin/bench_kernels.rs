@@ -7,9 +7,9 @@
 //! here against the scalar logits), so the numbers isolate pure
 //! inner-loop throughput: same plan, same geometry tables, same fused
 //! binarize-pack — only the popcount-GEMM kernel changes.  A single
-//! clip runs the same engine as a batch (GEMM interior plus
-//! bounds-checked border), so the batch-1 point of the batch-scaling
-//! series is the single-clip figure measured a second way.
+//! clip runs the same engine as a batch (one GEMM over every output
+//! pixel), so the batch-1 point of the batch-scaling series is the
+//! single-clip figure measured a second way.
 //!
 //! ```sh
 //! cargo run --release -p hotspot-bench --bin bench_kernels \
@@ -30,6 +30,7 @@
 //! is the statistic least distorted by scheduling noise, and the
 //! reference should be a best-of measurement too.
 
+use hotspot_bench::median;
 use hotspot_bnn::{dispatch_report, BnnResNet, KernelBackend, NetConfig, PackedBnn};
 use hotspot_telemetry::{MonotonicClock, Timer};
 use hotspot_tensor::Workspace;
@@ -401,7 +402,7 @@ fn main() {
         const BATCH_TOLERANCE: f64 = 1.10;
         let plan = packed.plan_with_backend((side, side), dispatch.active);
         let mut ws = Workspace::new();
-        let mut logits = vec![0.0f32; 16 * 2];
+        let mut logits = [0.0f32; 16 * 2];
         let clips = &batch_input[..16 * side * side];
         let mut per_clip = |n: usize| {
             let t = Timer::start(&clock);
@@ -413,10 +414,6 @@ fn main() {
         per_clip(16); // warm-up
         let (mut b1, mut b16): (Vec<f64>, Vec<f64>) =
             (0..runs * 4).map(|_| (per_clip(1), per_clip(16))).unzip();
-        let median = |v: &mut Vec<f64>| {
-            v.sort_by(f64::total_cmp);
-            v[v.len() / 2]
-        };
         let (med1, med16) = (median(&mut b1), median(&mut b16));
         assert!(
             med16 <= med1 * BATCH_TOLERANCE,

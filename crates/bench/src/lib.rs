@@ -10,6 +10,18 @@ use hotspot_core::{
     LabeledClip, OpticalModel, PatternFamily, SplitDataset,
 };
 
+/// Median of `v` (upper median for even lengths), sorting it in place.
+/// The bench `--check` gates compare medians of interleaved passes, so
+/// a slow phase of a shared host lands on both sides alike.
+///
+/// # Panics
+///
+/// Panics when `v` is empty.
+pub fn median(v: &mut [f64]) -> f64 {
+    v.sort_by(f64::total_cmp);
+    v[v.len() / 2]
+}
+
 /// A short-and-stable criterion configuration shared by every bench in
 /// this crate: the measured kernels are long-running and low-variance,
 /// so 20 samples in a 3 s window suffice and the full suite stays fast.

@@ -1,8 +1,8 @@
 //! The `PopcountGemm` backend trait: bit-sliced XNOR-GEMM blocks.
 //!
-//! The conv engine (see `packed::xnor_conv_gemm_levels`) reshapes
-//! the binary convolution interior as a matrix product over
-//! GF(2)-packed words: the **A** matrix holds each filter's
+//! The conv engine (see `packed::conv_levels`) reshapes a whole binary
+//! convolution — every output pixel, border included — as a matrix
+//! product over GF(2)-packed words: the **A** matrix holds each filter's
 //! receptive-field bits densely repacked to `kwords` `u64`s per filter
 //! (one row per filter × residual level), and the **B** matrix holds
 //! `np` output pixels' densely repacked input windows, laid out
@@ -15,10 +15,13 @@
 //!
 //! for a small filter block `fb ≤ 4` — the mismatch counts that the
 //! caller's epilogue turns into `±1` dot products and fuses with the
-//! per-channel affine/sign finalize.
+//! per-channel affine/sign finalize.  A tap that overhangs the map
+//! edge is all-zero in B, so it counts `popcount(a_tap)` mismatches;
+//! the epilogue's per-border-class bias removes them exactly, and the
+//! block itself never needs bounds checks.
 //!
-//! The block runs the interior of every binary convolution at every
-//! batch size, a single clip included.
+//! The block runs every binary convolution at every batch size, a
+//! single clip included.
 //!
 //! The trait's default [`PopcountGemm::gemm_block`] is a plain scalar
 //! loop over `u64::count_ones`, one filter row per reduction word —

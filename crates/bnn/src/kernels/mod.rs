@@ -9,17 +9,20 @@
 //! ```
 //!
 //! over densely repacked filter rows (A) and receptive-field columns
-//! (B).  It runs the interior of every conv at every batch size; the
-//! bounds-checked border path is plain `count_ones` and the fused
-//! binarize-pack front ([`pack_affine_mean`]) has its own vector
-//! bodies.
+//! (B).  It runs every output pixel of every conv at every batch size,
+//! border pixels included (their out-of-bounds taps are zero B bits,
+//! corrected exactly in the epilogue); the fused binarize-pack front
+//! ([`pack_affine_mean`]) has its own vector bodies.
 //!
 //! Five implementations exist, selected **once** per
 //! [`ExecPlan`](crate::plan::ExecPlan) compile (not per call):
 //!
 //! * [`KernelBackend::Scalar`] — the always-correct reference: the
-//!   trait's default scalar loop over `u64::count_ones` (compiles to
-//!   hardware `popcnt` where available).
+//!   trait's default scalar loop over `u64::count_ones`.  At the
+//!   baseline x86-64 target (SSE2 only) that is a shift-and-mask bit
+//!   count, not the `popcnt` instruction, which needs the `popcnt`
+//!   target feature at compile time (`-C target-feature=+popcnt` or
+//!   `-C target-cpu=native`); runtime dispatch does not change it.
 //! * [`KernelBackend::Ssse3`] — `pshufb` nibble-lookup popcount on
 //!   128-bit lanes (`std::arch`, gated by `is_x86_feature_detected!`),
 //!   run one filter row span at a time.
@@ -310,16 +313,10 @@ mod tests {
         // takes the same fallback as any unknown name.
         for bad in ["quantum", "swar"] {
             let sink = Arc::new(CollectingSubscriber::new());
-            let prev = trace::set_subscriber(sink.clone());
-            let resolved = resolve_backend(Some(bad));
-            match prev {
-                Some(p) => {
-                    trace::set_subscriber(p);
-                }
-                None => {
-                    trace::clear_subscriber();
-                }
-            }
+            let resolved = {
+                let _scope = trace::set_thread_subscriber(sink.clone());
+                resolve_backend(Some(bad))
+            };
             assert_eq!(resolved, KernelBackend::detect(), "{bad}");
             let fallback_events: Vec<_> = sink
                 .records()

@@ -1,16 +1,18 @@
 //! Bit-packed XNOR inference engine.
 //!
 //! One `XOR` + `popcount` per 64 channels replaces 64 float
-//! multiply–accumulates, and one conv engine applies it at every batch
-//! size, a single clip included.  The interior output rectangle —
-//! every pixel whose `kh·kw` taps all land in bounds — of all `n` items
-//! runs as a bit-sliced XNOR-GEMM: receptive fields are densely
-//! repacked as B columns (`pack_b_tile`) and streamed through the
-//! backend's [`kernels::PopcountGemm`] microkernel against filter rows
-//! repacked once at prep time.  The thin border runs a bounds-checked
-//! per-pixel path (`border_levels_block`); a layer with no interior
-//! runs border-only.  [`xnor_conv2d`] exposes the engine on raw bit
-//! tensors.
+//! multiply–accumulates, and one conv engine applies it to every output
+//! pixel at every batch size, a single clip included.  The whole
+//! output plane of all `n` items runs as a bit-sliced XNOR-GEMM:
+//! receptive fields are densely repacked as B columns (`pack_b_tile`)
+//! and streamed through the backend's [`kernels::PopcountGemm`]
+//! microkernel against filter rows repacked once at prep time.  A tap
+//! that overhangs the map edge leaves its B bits zero, which adds
+//! exactly `popcount(w_tap)` mismatches; the epilogue subtracts them
+//! again through one integer per (level, border class, filter), built
+//! at prep time (`GemmPrep`), so border pixels come out bit for bit as
+//! a bounds-checked conv computes them.  [`xnor_conv2d`] exposes the
+//! engine on raw bit tensors.
 //!
 //! [`PackedBnn`] compiles a trained [`BnnResNet`] into this
 //! representation, folding each block's batch normalization into a
@@ -22,7 +24,6 @@
 
 use crate::bitpack::{exact_sign_rule, pack_rules_into, BitFilter, BitTensor, SignRule};
 use crate::block::{BinaryResidualBlock, BnnBlock};
-use crate::kernels::geom::Interior;
 use crate::kernels::{self, active_backend, ConvGeometry, KernelBackend};
 use crate::model::{BnnResNet, MAX_LEVELS};
 use crate::scaling::{box_filter_sliding_into, residual_weight_levels, ScalingMode};
@@ -32,8 +33,7 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Filters per block: the GEMM microkernels accumulate up to four
-/// filter rows per pass over a B tile, and the border path holds one
-/// register accumulator per filter in a block.
+/// filter rows per pass over a B tile.
 const ACC_PLANES: usize = 4;
 
 /// Binary convolution on bit-packed operands.
@@ -69,7 +69,7 @@ pub fn xnor_conv2d_backend(
     assert_eq!(c, fc, "input has {c} channels, filter expects {fc}");
     assert!(stride > 0, "stride must be positive");
     let geom = ConvGeometry::new(c, h, w, kh, kw, stride, pad);
-    let gemm = geom.interior().map(|_| GemmPrep::new([filter]));
+    let gemm = GemmPrep::new(&geom, &[filter]);
     let item_words = h * w * geom.wpp;
     let oplane = geom.oh * geom.ow;
     let in_words = input.as_words();
@@ -90,7 +90,7 @@ pub fn xnor_conv2d_backend(
                 &in_words[ni * item_words..(ni + 1) * item_words],
                 1,
                 &geom,
-                gemm.as_ref(),
+                &gemm,
                 &levels,
                 None,
                 ws,
@@ -110,16 +110,25 @@ struct LevelFilters<'a> {
     alpha: Option<&'a [f32]>,
 }
 
+/// Pixels per GEMM B tile.  At the deepest reduction this net reaches
+/// (c=64, 3×3 ⇒ 9 dense words) a tile is ≈36 KiB of packed B plus
+/// 8 KiB of accumulators — sized to stay cache-resident while
+/// amortizing the pack cost over every filter block × residual level.
+const GEMM_TILE: usize = 1024;
+
 /// The conv engine: a multi-level binary convolution of `n` packed
 /// items into `[n, k, oh, ow]` `out` (every element overwritten).
 ///
-/// The interior of all `n` items runs through the GEMM tier when
-/// `gemm` is present ([`xnor_conv_gemm_levels`]); every other pixel —
-/// all of them for a layer with no interior — runs the bounds-checked
-/// border path.  All residual levels run fused: each output element is
-/// finalized once per level in ascending order (`=` for level 0, `+=`
-/// for the correction planes).  When `smap` is `Some` — the `[n, oh,
-/// ow]` activation scale map — each level's finalize multiplies
+/// Packs tiles of output pixels — spanning rows *and* batch items —
+/// as dense B columns once, then streams every filter block × residual
+/// level over the same tile through the backend's
+/// [`kernels::PopcountGemm`] microkernel.  The epilogue turns each
+/// mismatch count into `dot = bias − 2·acc`, with the bias of the
+/// pixel's border class (see [`GemmPrep`]), and fuses the
+/// per-channel affine/sign finalize: each output element is finalized
+/// once per level in ascending order (`=` for level 0, `+=` for the
+/// correction planes).  When `smap` is `Some` — the `[n, oh, ow]`
+/// activation scale map — each level's finalize multiplies
 /// `alpha[f] * smap[pixel]`.
 #[allow(clippy::too_many_arguments)]
 fn conv_levels(
@@ -127,7 +136,7 @@ fn conv_levels(
     in_words: &[u64],
     n: usize,
     geom: &ConvGeometry,
-    gemm: Option<&GemmPrep>,
+    gp: &GemmPrep,
     levels: &[LevelFilters],
     smap: Option<&[f32]>,
     ws: &mut Workspace,
@@ -149,7 +158,8 @@ fn conv_levels(
             assert_eq!(a.len(), k, "one weight scale per filter");
         }
     }
-    let oplane = geom.oh * geom.ow;
+    let (oh, ow) = (geom.oh, geom.ow);
+    let oplane = oh * ow;
     assert_eq!(
         in_words.len(),
         n * geom.h * geom.w * geom.wpp,
@@ -159,105 +169,103 @@ fn conv_levels(
     if let Some(smap) = smap {
         assert_eq!(smap.len(), n * oplane, "scale map length mismatch");
     }
-    debug_assert_eq!(gemm.is_some(), geom.interior().is_some());
-    if let Some(gp) = gemm {
-        xnor_conv_gemm_levels(backend, in_words, n, geom, gp, levels, smap, ws, out);
-    }
-    border_levels(in_words, n, geom, geom.interior(), levels, smap, out);
-}
-
-/// Every output pixel of all `n` items outside `interior` (all of them
-/// when `None`) through [`border_levels_block`], one filter block at a
-/// time.
-fn border_levels(
-    in_words: &[u64],
-    n: usize,
-    geom: &ConvGeometry,
-    interior: Option<Interior>,
-    levels: &[LevelFilters],
-    smap: Option<&[f32]>,
-    out: &mut [f32],
-) {
-    let (k, ..) = levels[0].filter.dims();
-    let oplane = geom.oh * geom.ow;
-    for ni in 0..n {
-        let item = &mut out[ni * k * oplane..(ni + 1) * k * oplane];
-        let smap_item = smap.map(|s| &s[ni * oplane..(ni + 1) * oplane]);
-        let mut ki = 0;
+    let kd = gp.kdense;
+    let classes = geom.border_classes();
+    assert!(
+        gp.a.len() >= levels.len() * k * kd && gp.bias.len() >= levels.len() * classes * k,
+        "prep holds fewer levels than requested"
+    );
+    let (rows, cols) = (geom.row_classes(), geom.col_classes());
+    // The dot-product bias of a pixel whose taps are all in bounds.
+    let full = (kh * kw * fc) as i32;
+    let total = n * oplane;
+    let gemm = kernels::gemm_backend(backend);
+    let np_cap = GEMM_TILE.min(total.max(1));
+    let mut b = ws.take_u64(kd * np_cap);
+    let mut acc = ws.take_i32(ACC_PLANES * np_cap);
+    let mut t0 = 0usize;
+    while t0 < total {
+        let np = np_cap.min(total - t0);
+        let b_tile = &mut b[..kd * np];
+        b_tile.fill(0);
+        pack_b_tile(in_words, geom, t0, np, b_tile);
+        let mut ki = 0usize;
         while ki < k {
             let fb = (k - ki).min(ACC_PLANES);
-            border_levels_block(
-                in_words, geom, interior, levels, ni, ki, fb, smap_item, item,
-            );
+            for (l, lv) in levels.iter().enumerate() {
+                let a_block = &gp.a[(l * k + ki) * kd..(l * k + ki + fb) * kd];
+                let acc_block = &mut acc[..fb * np];
+                acc_block.fill(0);
+                gemm.gemm_block(acc_block, fb, a_block, b_tile, np, kd);
+                // Epilogue, in three passes over the tile accumulators:
+                // every pixel's dot product as if all its taps were in
+                // bounds; each border run's class correction on top
+                // (zero for the interior run of a row, which is
+                // skipped); then the fused affine/sign finalize, one
+                // call per (filter, item) over contiguous memory.
+                for d in acc_block.iter_mut() {
+                    *d = full - 2 * *d;
+                }
+                let bias_l = &gp.bias[l * classes * k..(l + 1) * classes * k];
+                for_each_subrun(oh, ow, t0, np, |p, _, oy, ox0, len| {
+                    let bias_row = &bias_l[rows.class(oy) * cols.count() * k + ki..];
+                    let mut x = 0;
+                    while x < len {
+                        let (cc, run) = cols.span(ox0 + x);
+                        let end = len.min(x + run);
+                        for f in 0..fb {
+                            let delta = bias_row[cc * k + f] - full;
+                            if delta != 0 {
+                                let row = &mut acc_block[f * np + p..];
+                                for d in &mut row[x..end] {
+                                    *d += delta;
+                                }
+                            }
+                        }
+                        x = end;
+                    }
+                });
+                // Rows of width `oplane` are whole items.
+                for_each_subrun(1, oplane, t0, np, |p, ni, _, off, len| {
+                    let smap_run = smap.map(|s| &s[ni * oplane + off..][..len]);
+                    for f in 0..fb {
+                        finalize_row(
+                            &mut out[(ni * k + ki + f) * oplane + off..][..len],
+                            &acc_block[f * np + p..][..len],
+                            l == 0,
+                            lv.alpha.map(|a| a[ki + f]),
+                            smap_run,
+                        );
+                    }
+                });
+            }
             ki += fb;
         }
+        t0 += np;
     }
+    ws.give_i32(acc);
+    ws.give_u64(b);
 }
 
-/// Visits every output pixel outside the interior rectangle.
-fn for_each_border(
-    oh: usize,
-    ow: usize,
-    interior: Option<Interior>,
-    mut f: impl FnMut(usize, usize),
-) {
-    match interior {
-        None => {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    f(oy, ox);
-                }
-            }
-        }
-        Some(int) => {
-            for oy in 0..int.oy0 {
-                for ox in 0..ow {
-                    f(oy, ox);
-                }
-            }
-            for oy in int.oy0..int.oy1 {
-                for ox in 0..int.ox0 {
-                    f(oy, ox);
-                }
-                for ox in int.ox1..ow {
-                    f(oy, ox);
-                }
-            }
-            for oy in int.oy1..oh {
-                for ox in 0..ow {
-                    f(oy, ox);
-                }
-            }
-        }
-    }
-}
-
-/// Writes one finalized output value:
-/// `dot = taps·c − 2·mismatches`, times the fused activation scale
-/// when present.
-#[inline]
-fn finalize(hit: i32, c: usize, mism: i32, scale: f32) -> f32 {
-    (hit * c as i32 - 2 * mism) as f32 * scale
-}
-
-/// Finalizes one interior run for one (filter, level): `dst[i] =` (or
-/// `+=`, for correction levels) `finalize(hit, c, mism[i], scaleᵢ)`
-/// where `scaleᵢ` is `alpha·smap` / `alpha` / `smap` / `1` depending
-/// on what is present — the same per-element float op sequence the
-/// historical single-level passes used (`x·a` and `a·(x·1)` round
-/// identically, so fusing the PlainSign correction scale here is
-/// bit-exact against the old `accumulate_scaled` sweep).
+/// Finalizes one run of pixels for one (filter, level): `dst[i] =` (or
+/// `+=`, for correction levels) `dot[i] as f32 · scaleᵢ`, where
+/// `scaleᵢ` is `alpha·smap` / `alpha` / `smap` / `1` depending on what
+/// is present.  `dot` holds `bias − 2·acc`, the same i32 as the
+/// bounds-checked `hit·c − 2·mismatches` (see [`GemmPrep`]), and the
+/// float ops are the per-element sequence the single-level passes
+/// always used (`x·a` and `a·(x·1)` round identically, so fusing the
+/// PlainSign correction scale here is bit-exact against the old
+/// `accumulate_scaled` sweep).
 fn finalize_row(
     dst: &mut [f32],
-    mism: &[i32],
-    hit: i32,
-    c: usize,
+    dot: &[i32],
     first: bool,
     alpha_f: Option<f32>,
     srow: Option<&[f32]>,
 ) {
     #[inline]
-    fn write(o: &mut f32, v: f32, first: bool) {
+    fn write(o: &mut f32, d: i32, scale: f32, first: bool) {
+        let v = d as f32 * scale;
         if first {
             *o = v;
         } else {
@@ -266,133 +274,38 @@ fn finalize_row(
     }
     match (alpha_f, srow) {
         (None, None) => {
-            for (o, &m) in dst.iter_mut().zip(mism) {
-                write(o, finalize(hit, c, m, 1.0), first);
+            for (o, &d) in dst.iter_mut().zip(dot) {
+                write(o, d, 1.0, first);
             }
         }
         (Some(a), None) => {
-            for (o, &m) in dst.iter_mut().zip(mism) {
-                write(o, finalize(hit, c, m, a), first);
+            for (o, &d) in dst.iter_mut().zip(dot) {
+                write(o, d, a, first);
             }
         }
         (Some(a), Some(srow)) => {
-            for ((o, &m), &s) in dst.iter_mut().zip(mism).zip(srow) {
-                write(o, finalize(hit, c, m, a * s), first);
+            for ((o, &d), &s) in dst.iter_mut().zip(dot).zip(srow) {
+                write(o, d, a * s, first);
             }
         }
         (None, Some(srow)) => {
-            for ((o, &m), &s) in dst.iter_mut().zip(mism).zip(srow) {
-                write(o, finalize(hit, c, m, s), first);
+            for ((o, &d), &s) in dst.iter_mut().zip(dot).zip(srow) {
+                write(o, d, s, first);
             }
         }
     }
 }
 
-/// Scalar form of [`finalize_row`] for border pixels.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn finalize_one(
-    o: &mut f32,
-    hit: i32,
-    c: usize,
-    mism: i32,
-    first: bool,
-    alpha_f: Option<f32>,
-    s: Option<f32>,
-) {
-    let scale = match (alpha_f, s) {
-        (None, None) => 1.0,
-        (Some(a), None) => a,
-        (Some(a), Some(s)) => a * s,
-        (None, Some(s)) => s,
-    };
-    let v = finalize(hit, c, mism, scale);
-    if first {
-        *o = v;
-    } else {
-        *o += v;
-    }
-}
-
-/// Border pixels for one filter block: general per-tap path with
-/// bounds checks, accumulating each (level, filter) mismatch count in
-/// a fixed register array and finalizing in place, levels ascending.
-/// Visits every pixel outside `interior`.  `out` is the single item's
-/// `[k, oh, ow]` plane.
-#[allow(clippy::too_many_arguments)]
-fn border_levels_block(
-    in_words: &[u64],
-    geom: &ConvGeometry,
-    interior: Option<Interior>,
-    levels: &[LevelFilters],
-    ni: usize,
-    ki: usize,
-    fb: usize,
-    smap_item: Option<&[f32]>,
-    out: &mut [f32],
-) {
-    let (c, h, w) = (geom.c, geom.h, geom.w);
-    let (stride, pad, wpp) = (geom.stride, geom.pad, geom.wpp);
-    let (oh, ow, kh, kw) = (geom.oh, geom.ow, geom.kh, geom.kw);
-    let oplane = oh * ow;
-    let taps = geom.taps_hit();
-    debug_assert!(levels.len() <= MAX_LEVELS);
-    for_each_border(oh, ow, interior, |oy, ox| {
-        let p = oy * ow + ox;
-        let mut mism = [[0i32; ACC_PLANES]; MAX_LEVELS];
-        for ky in 0..kh {
-            let iy = oy * stride + ky;
-            if iy < pad || iy - pad >= h {
-                continue;
-            }
-            let iy = iy - pad;
-            for kx in 0..kw {
-                let ix = ox * stride + kx;
-                if ix < pad || ix - pad >= w {
-                    continue;
-                }
-                let ix = ix - pad;
-                let ibase = ((ni * h + iy) * w + ix) * wpp;
-                let src = &in_words[ibase..ibase + wpp];
-                for (lm, lv) in mism.iter_mut().zip(levels) {
-                    let f_words = lv.filter.as_words();
-                    for (f, m) in lm.iter_mut().enumerate().take(fb) {
-                        let fbase = (((ki + f) * kh + ky) * kw + kx) * wpp;
-                        for (a, b) in src.iter().zip(&f_words[fbase..fbase + wpp]) {
-                            *m += (a ^ b).count_ones() as i32;
-                        }
-                    }
-                }
-            }
-        }
-        let s = smap_item.map(|sm| sm[p]);
-        for (l, lv) in levels.iter().enumerate() {
-            for f in 0..fb {
-                finalize_one(
-                    &mut out[(ki + f) * oplane + p],
-                    taps[p],
-                    c,
-                    mism[l][f],
-                    l == 0,
-                    lv.alpha.map(|a| a[ki + f]),
-                    s,
-                );
-            }
-        }
-    });
-}
-
-/// Decomposes the linear interior-tile index range `[t0, t0 + np)`
-/// into maximal subruns of consecutive interior columns sharing one
-/// `(item, output row)`, calling `f(p, ni, oy, ox0, len)` for each
-/// (`p` is the offset inside the tile).  The linear index enumerates
-/// `[item][interior row][interior column]`, so GEMM tiles span row and
-/// item boundaries with pure div/mod bookkeeping — no run lists are
-/// ever allocated.
+/// Decomposes the linear tile index range `[t0, t0 + np)` into maximal
+/// subruns of consecutive output columns sharing one `(item, output
+/// row)`, calling `f(p, ni, oy, ox0, len)` for each (`p` is the offset
+/// inside the tile).  The linear index enumerates `[item][row][column]`
+/// of the `oh × ow` output plane, so GEMM tiles span row and item
+/// boundaries with pure div/mod bookkeeping — no run lists are ever
+/// allocated.
 fn for_each_subrun(
-    int: &Interior,
-    ih: usize,
-    run: usize,
+    oh: usize,
+    ow: usize,
     t0: usize,
     np: usize,
     mut f: impl FnMut(usize, usize, usize, usize, usize),
@@ -400,32 +313,57 @@ fn for_each_subrun(
     let mut p = 0usize;
     let mut t = t0;
     while p < np {
-        let g = t / run;
-        let r0 = t % run;
-        let ni = g / ih;
-        let oy = int.oy0 + (g % ih);
-        let len = (run - r0).min(np - p);
-        f(p, ni, oy, int.ox0 + r0, len);
+        let g = t / ow;
+        let ox0 = t % ow;
+        let len = (ow - ox0).min(np - p);
+        f(p, g / oh, g % oh, ox0, len);
         p += len;
         t += len;
     }
 }
 
-/// Densely repacks a filter's receptive-field bits: per filter, the
+/// Calls `f(p, pix, len)` for every stretch of tile pixels `[t0, t0 +
+/// np)` whose tap `(ky, kx)` lands in bounds: tile offsets `p..p + len`
+/// read the input pixels `pix, pix + stride, …` (flat `[item][row]
+/// [col]` pixel index).  Pixels whose tap overhangs the map edge —
+/// outside the tap's [`TapRange`](kernels::geom::TapRange) — are
+/// skipped.
+fn for_each_tap_run(
+    geom: &ConvGeometry,
+    ky: usize,
+    kx: usize,
+    t0: usize,
+    np: usize,
+    mut f: impl FnMut(usize, usize, usize),
+) {
+    let tr = geom.tap_range(ky, kx);
+    for_each_subrun(geom.oh, geom.ow, t0, np, |p, ni, oy, ox0, len| {
+        let (lo, hi) = (ox0.max(tr.ox_lo), (ox0 + len).min(tr.ox_hi));
+        if (tr.oy_lo..tr.oy_hi).contains(&oy) && lo < hi {
+            let iy = oy * geom.stride + ky - geom.pad;
+            let ix = lo * geom.stride + kx - geom.pad;
+            f(p + lo - ox0, (ni * geom.h + iy) * geom.w + ix, hi - lo);
+        }
+    });
+}
+
+/// Appends the dense A rows of `filter` to `a` — per filter, the
 /// `c·kh·kw` weight bits in `(ky, kx, word)` order packed back-to-back
-/// into `kdense = ⌈c·kh·kw/64⌉` words — the A-matrix rows of the GEMM
-/// tier.  For channel counts below 64 this cuts the reduction depth
-/// well under the sparse `kh·kw·wpp` tap-word walk (c=8, 3×3: 2 dense
-/// words vs 9 sparse), because the sparse layout pads every tap word's
-/// high bits with zeros.
-fn dense_filter_words(filter: &BitFilter) -> (usize, Vec<u64>) {
+/// into `kdense = ⌈c·kh·kw/64⌉` words — and writes each tap's set-bit
+/// count into `pc[tap · k + f]`.  For channel counts below 64 the dense
+/// rows cut the reduction depth well under the sparse `kh·kw·wpp`
+/// tap-word walk (c=8, 3×3: 2 dense words vs 9 sparse), because the
+/// sparse layout pads every tap word's high bits with zeros.
+fn dense_filter_words(filter: &BitFilter, a: &mut Vec<u64>, pc: &mut [i32]) {
     let (k, c, kh, kw) = filter.dims();
     let wpt = filter.words_per_tap();
     let kdense = (c * kh * kw).div_ceil(64);
     let words = filter.as_words();
-    let mut out = vec![0u64; k * kdense];
+    let base = a.len();
+    a.resize(base + k * kdense, 0);
+    pc.fill(0);
     for f in 0..k {
-        let dst = &mut out[f * kdense..(f + 1) * kdense];
+        let dst = &mut a[base + f * kdense..base + (f + 1) * kdense];
         let mut j = 0usize;
         let mut off = 0usize;
         for ky in 0..kh {
@@ -438,6 +376,7 @@ fn dense_filter_words(filter: &BitFilter) -> (usize, Vec<u64>) {
                         (1u64 << nbits) - 1
                     };
                     let bits = words[((f * kh + ky) * kw + kx) * wpt + wi] & msk;
+                    pc[(ky * kw + kx) * k + f] += bits.count_ones() as i32;
                     dst[j] |= bits << off;
                     if off != 0 && off + nbits > 64 {
                         dst[j + 1] |= bits >> (64 - off);
@@ -452,63 +391,90 @@ fn dense_filter_words(filter: &BitFilter) -> (usize, Vec<u64>) {
         }
         debug_assert_eq!(j * 64 + off, c * kh * kw);
     }
-    (kdense, out)
 }
 
-/// Precomputed A-matrix state for the GEMM tier: every residual
-/// level's filters with their receptive-field bits densely repacked by
-/// [`dense_filter_words`].  Built once at prep time and shared by all
-/// forward calls.
+/// Precomputed A-side state of the conv engine, built once at prep time
+/// and shared by all forward calls: every residual level's filters with
+/// their receptive-field bits densely repacked
+/// ([`dense_filter_words`]), and the border correction.
+///
+/// The correction is exact.  [`pack_b_tile`] leaves the B bits of an
+/// out-of-bounds tap zero, so that tap adds `popcount(w_tap)`
+/// mismatches to the GEMM count `acc`.  Hence, with `hit` the pixel's
+/// in-bounds taps, `hit·c − 2·(acc − Σ_oob popcount(w_tap)) = bias −
+/// 2·acc` for `bias = hit·c + 2·Σ_oob popcount(w_tap)`.  Which taps
+/// are out of bounds depends only on the pixel's border class (row
+/// tap-validity × column tap-validity, see
+/// [`AxisClasses`](kernels::geom::AxisClasses)), so one integer per
+/// (level, class, filter) covers the plane; interior pixels get
+/// `kh·kw·c`.
 #[derive(Debug, Clone)]
 struct GemmPrep {
     /// Dense reduction words per filter (`⌈c·kh·kw/64⌉`).
     kdense: usize,
-    /// Per level: `k * kdense` dense filter words.
-    a: Vec<Vec<u64>>,
+    /// `k * kdense` dense filter words per level, levels back to back.
+    a: Vec<u64>,
+    /// `bias[(level · classes + class) · k + f]`.
+    bias: Vec<i32>,
 }
 
 impl GemmPrep {
-    /// Repacks one filter plane per residual level, level 0 first.
-    fn new<'a>(levels: impl IntoIterator<Item = &'a BitFilter>) -> GemmPrep {
-        let mut kdense = 0;
-        let a = levels
-            .into_iter()
-            .map(|filter| {
-                let (kd, words) = dense_filter_words(filter);
-                kdense = kd;
-                words
-            })
-            .collect();
-        GemmPrep { kdense, a }
+    /// Repacks one filter plane per residual level, level 0 first, and
+    /// builds its bias table for `geom`'s border classes — in
+    /// O(filters × classes) adds from per-tap popcounts, with one
+    /// allocation per table.
+    fn new(geom: &ConvGeometry, levels: &[&BitFilter]) -> GemmPrep {
+        let (kh, kw) = (geom.kh, geom.kw);
+        let (rows, cols) = (geom.row_classes(), geom.col_classes());
+        let k = levels[0].dims().0;
+        let kdense = (geom.c * kh * kw).div_ceil(64);
+        let mut a = Vec::with_capacity(levels.len() * k * kdense);
+        let mut bias = Vec::with_capacity(levels.len() * geom.border_classes() * k);
+        let mut pc = vec![0i32; kh * kw * k];
+        for filter in levels {
+            dense_filter_words(filter, &mut a, &mut pc);
+            for rc in 0..rows.count() {
+                for cc in 0..cols.count() {
+                    let (rm, cm) = (rows.mask(rc), cols.mask(cc));
+                    let hit = (rm.count_ones() * cm.count_ones()) as i32;
+                    let start = bias.len();
+                    bias.resize(start + k, hit * geom.c as i32);
+                    let row = &mut bias[start..];
+                    for ky in 0..kh {
+                        for kx in 0..kw {
+                            if (rm >> ky) & (cm >> kx) & 1 == 0 {
+                                let tap = &pc[(ky * kw + kx) * k..][..k];
+                                for (b, &p) in row.iter_mut().zip(tap) {
+                                    *b += 2 * p;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        GemmPrep { kdense, a, bias }
     }
 }
 
-/// Packs `np` interior output pixels (linear tile indices
-/// `[t0, t0 + np)`) as dense B-matrix columns: per pixel, the
-/// `c·kh·kw` receptive-field input bits in the same `(ky, kx, word)`
-/// order as [`dense_filter_words`], laid out column-major by reduction
-/// word (`b[j*np + p]`) so the GEMM microkernels load consecutive
-/// pixels with one vector load.  `b[..kdense*np]` must be pre-zeroed.
+/// Packs `np` output pixels (linear tile indices `[t0, t0 + np)`) as
+/// dense B-matrix columns: per pixel, the `c·kh·kw` receptive-field
+/// input bits in the same `(ky, kx, word)` order as
+/// [`dense_filter_words`], laid out column-major by reduction word
+/// (`b[j*np + p]`) so the GEMM microkernels load consecutive pixels
+/// with one vector load.  `b[..kdense*np]` must be pre-zeroed; the
+/// bits of taps that overhang the map edge stay zero (see
+/// [`GemmPrep`] for the correction).
 ///
 /// Bit-exactness: the dense layout carries exactly the same bit
 /// multiset as the sparse tap words — the channel-padding high bits
 /// are zero in both operands by the bitpack invariant (and masked here
-/// defensively) — so `Σ_j popcount(a_dense ^ b_dense)` equals the
-/// per-tap mismatch sum of the sparse tap-word walk the border path
-/// runs, word alignment notwithstanding.
-fn pack_b_tile(
-    in_words: &[u64],
-    geom: &ConvGeometry,
-    int: &Interior,
-    t0: usize,
-    np: usize,
-    b: &mut [u64],
-) {
-    let (c, h, w) = (geom.c, geom.h, geom.w);
-    let (stride, pad, wpp) = (geom.stride, geom.pad, geom.wpp);
+/// defensively) — so `Σ_j popcount(a_dense ^ b_dense)` over a pixel's
+/// in-bounds taps equals the per-tap mismatch sum of a bounds-checked
+/// tap-word walk, word alignment notwithstanding.
+fn pack_b_tile(in_words: &[u64], geom: &ConvGeometry, t0: usize, np: usize, b: &mut [u64]) {
+    let (c, stride, wpp) = (geom.c, geom.stride, geom.wpp);
     let (kh, kw) = (geom.kh, geom.kw);
-    let run = int.ox1 - int.ox0;
-    let ih = int.oy1 - int.oy0;
     let mut j = 0usize;
     let mut off = 0usize;
     for ky in 0..kh {
@@ -527,32 +493,26 @@ fn pack_b_tile(
                     let (head, tail) = b.split_at_mut((j + 1) * np);
                     let d = &mut head[j * np..];
                     let d2 = &mut tail[..np];
-                    for_each_subrun(int, ih, run, t0, np, |p, ni, oy, ox0, len| {
-                        let iy = oy * stride + ky - pad;
-                        let ix0 = ox0 * stride + kx - pad;
-                        let base = ((ni * h + iy) * w + ix0) * wpp + wi;
+                    for_each_tap_run(geom, ky, kx, t0, np, |p, pix, len| {
                         for i in 0..len {
-                            let word = in_words[base + i * stride * wpp] & msk;
+                            let word = in_words[(pix + i * stride) * wpp + wi] & msk;
                             d[p + i] |= word << off;
                             d2[p + i] |= word >> (64 - off);
                         }
                     });
                 } else {
                     let d = &mut b[j * np..(j + 1) * np];
-                    for_each_subrun(int, ih, run, t0, np, |p, ni, oy, ox0, len| {
-                        let iy = oy * stride + ky - pad;
-                        let ix0 = ox0 * stride + kx - pad;
+                    for_each_tap_run(geom, ky, kx, t0, np, |p, pix, len| {
                         if stride == 1 && wpp == 1 {
                             // Contiguous source: a plain mask-shift-or
                             // sweep the compiler auto-vectorizes.
-                            let src = &in_words[(ni * h + iy) * w + ix0..][..len];
+                            let src = &in_words[pix..][..len];
                             for (dd, &s) in d[p..p + len].iter_mut().zip(src) {
                                 *dd |= (s & msk) << off;
                             }
                         } else {
-                            let base = ((ni * h + iy) * w + ix0) * wpp + wi;
                             for i in 0..len {
-                                d[p + i] |= (in_words[base + i * stride * wpp] & msk) << off;
+                                d[p + i] |= (in_words[(pix + i * stride) * wpp + wi] & msk) << off;
                             }
                         }
                     });
@@ -568,94 +528,192 @@ fn pack_b_tile(
     debug_assert_eq!(j * 64 + off, c * kh * kw);
 }
 
-/// Pixels per GEMM B tile.  At the deepest reduction this net reaches
-/// (c=64, 3×3 ⇒ 9 dense words) a tile is ≈36 KiB of packed B plus
-/// 8 KiB of accumulators — sized to stay cache-resident while
-/// amortizing the pack cost over every filter block × residual level.
-const GEMM_TILE: usize = 1024;
+/// The bounds-checked per-pixel conv that the GEMM engine replaced, kept
+/// as the independent oracle behind [`PackedConv::forward_reference`]:
+/// it counts each pixel's in-bounds taps directly, with no B repack, no
+/// GEMM and no border correction.  Only compiled with the `oracle`
+/// feature; no production path runs it.
+#[cfg(feature = "oracle")]
+mod border {
+    use super::{LevelFilters, ACC_PLANES};
+    use crate::kernels::geom::Interior;
+    use crate::kernels::ConvGeometry;
+    use crate::model::MAX_LEVELS;
 
-/// The bit-sliced XNOR-GEMM interior: packs tiles of interior output
-/// pixels (spanning rows *and* batch items) as dense B columns once,
-/// then streams every filter block × residual level over the same tile
-/// through the backend's [`kernels::PopcountGemm`] microkernel, fusing
-/// the per-channel affine/sign finalize into the epilogue.  Border
-/// pixels are handled separately by [`border_levels_block`].
-///
-/// Bit-identical to sending the same pixels through the border path:
-/// dense repacking preserves the integer mismatch counts (see
-/// [`pack_b_tile`]) and [`finalize_row`] replays the per-element float
-/// op sequence of [`finalize_one`].
-#[allow(clippy::too_many_arguments)]
-fn xnor_conv_gemm_levels(
-    backend: KernelBackend,
-    in_words: &[u64],
-    n: usize,
-    geom: &ConvGeometry,
-    gp: &GemmPrep,
-    levels: &[LevelFilters],
-    smap: Option<&[f32]>,
-    ws: &mut Workspace,
-    out: &mut [f32],
-) {
-    let int = geom.interior().expect("gemm tier requires an interior");
-    let (k, _, kh, kw) = levels[0].filter.dims();
-    let (c, oh, ow) = (geom.c, geom.oh, geom.ow);
-    let oplane = oh * ow;
-    let run = int.ox1 - int.ox0;
-    let ih = int.oy1 - int.oy0;
-    let total = n * ih * run;
-    let full_hit = (kh * kw) as i32;
-    let kd = gp.kdense;
-    let gemm = kernels::gemm_backend(backend);
-    let np_cap = GEMM_TILE.min(total.max(1));
-    let mut b = ws.take_u64(kd * np_cap);
-    let mut acc = ws.take_i32(ACC_PLANES * np_cap);
-    let mut t0 = 0usize;
-    while t0 < total {
-        let np = np_cap.min(total - t0);
-        let b_tile = &mut b[..kd * np];
-        b_tile.fill(0);
-        pack_b_tile(in_words, geom, &int, t0, np, b_tile);
-        let mut ki = 0usize;
-        while ki < k {
-            let fb = (k - ki).min(ACC_PLANES);
-            for (l, lv) in levels.iter().enumerate() {
-                let a_block = &gp.a[l][ki * kd..(ki + fb) * kd];
-                let acc_block = &mut acc[..fb * np];
-                acc_block.fill(0);
-                gemm.gemm_block(acc_block, fb, a_block, b_tile, np, kd);
-                // Epilogue: fused affine/sign finalize straight from
-                // the tile accumulators into the output layout.
-                for_each_subrun(&int, ih, run, t0, np, |p, ni, oy, ox0, len| {
-                    let row_off = oy * ow + ox0;
-                    let srow = smap.map(|s| &s[ni * oplane + row_off..][..len]);
-                    for f in 0..fb {
-                        let mism = &acc_block[f * np + p..][..len];
-                        let dst = &mut out[(ni * k + ki + f) * oplane + row_off..][..len];
-                        finalize_row(
-                            dst,
-                            mism,
-                            full_hit,
-                            c,
-                            l == 0,
-                            lv.alpha.map(|a| a[ki + f]),
-                            srow,
-                        );
-                    }
-                });
+    /// Every output pixel of all `n` items outside `interior` (all of them
+    /// when `None`) through [`border_levels_block`], one filter block at a
+    /// time.
+    pub(super) fn border_levels(
+        in_words: &[u64],
+        n: usize,
+        geom: &ConvGeometry,
+        interior: Option<Interior>,
+        levels: &[LevelFilters],
+        smap: Option<&[f32]>,
+        out: &mut [f32],
+    ) {
+        let (k, ..) = levels[0].filter.dims();
+        let oplane = geom.oh * geom.ow;
+        for ni in 0..n {
+            let item = &mut out[ni * k * oplane..(ni + 1) * k * oplane];
+            let smap_item = smap.map(|s| &s[ni * oplane..(ni + 1) * oplane]);
+            let mut ki = 0;
+            while ki < k {
+                let fb = (k - ki).min(ACC_PLANES);
+                border_levels_block(
+                    in_words, geom, interior, levels, ni, ki, fb, smap_item, item,
+                );
+                ki += fb;
             }
-            ki += fb;
         }
-        t0 += np;
     }
-    ws.give_i32(acc);
-    ws.give_u64(b);
+
+    /// Visits every output pixel outside the interior rectangle.
+    fn for_each_border(
+        oh: usize,
+        ow: usize,
+        interior: Option<Interior>,
+        mut f: impl FnMut(usize, usize),
+    ) {
+        match interior {
+            None => {
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        f(oy, ox);
+                    }
+                }
+            }
+            Some(int) => {
+                for oy in 0..int.oy0 {
+                    for ox in 0..ow {
+                        f(oy, ox);
+                    }
+                }
+                for oy in int.oy0..int.oy1 {
+                    for ox in 0..int.ox0 {
+                        f(oy, ox);
+                    }
+                    for ox in int.ox1..ow {
+                        f(oy, ox);
+                    }
+                }
+                for oy in int.oy1..oh {
+                    for ox in 0..ow {
+                        f(oy, ox);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Writes one finalized output value:
+    /// `dot = taps·c − 2·mismatches`, times the fused activation scale
+    /// when present.
+    #[inline]
+    fn finalize(hit: i32, c: usize, mism: i32, scale: f32) -> f32 {
+        (hit * c as i32 - 2 * mism) as f32 * scale
+    }
+
+    /// Scalar form of [`finalize_row`](super::finalize_row) for border pixels.
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    fn finalize_one(
+        o: &mut f32,
+        hit: i32,
+        c: usize,
+        mism: i32,
+        first: bool,
+        alpha_f: Option<f32>,
+        s: Option<f32>,
+    ) {
+        let scale = match (alpha_f, s) {
+            (None, None) => 1.0,
+            (Some(a), None) => a,
+            (Some(a), Some(s)) => a * s,
+            (None, Some(s)) => s,
+        };
+        let v = finalize(hit, c, mism, scale);
+        if first {
+            *o = v;
+        } else {
+            *o += v;
+        }
+    }
+
+    /// Border pixels for one filter block: general per-tap path with
+    /// bounds checks, accumulating each (level, filter) mismatch count in
+    /// a fixed register array and finalizing in place, levels ascending.
+    /// Visits every pixel outside `interior`.  `out` is the single item's
+    /// `[k, oh, ow]` plane.
+    #[allow(clippy::too_many_arguments)]
+    fn border_levels_block(
+        in_words: &[u64],
+        geom: &ConvGeometry,
+        interior: Option<Interior>,
+        levels: &[LevelFilters],
+        ni: usize,
+        ki: usize,
+        fb: usize,
+        smap_item: Option<&[f32]>,
+        out: &mut [f32],
+    ) {
+        let (c, h, w) = (geom.c, geom.h, geom.w);
+        let (stride, pad, wpp) = (geom.stride, geom.pad, geom.wpp);
+        let (oh, ow, kh, kw) = (geom.oh, geom.ow, geom.kh, geom.kw);
+        let oplane = oh * ow;
+        let taps = geom.taps_hit();
+        debug_assert!(levels.len() <= MAX_LEVELS);
+        for_each_border(oh, ow, interior, |oy, ox| {
+            let p = oy * ow + ox;
+            let mut mism = [[0i32; ACC_PLANES]; MAX_LEVELS];
+            for ky in 0..kh {
+                let iy = oy * stride + ky;
+                if iy < pad || iy - pad >= h {
+                    continue;
+                }
+                let iy = iy - pad;
+                for kx in 0..kw {
+                    let ix = ox * stride + kx;
+                    if ix < pad || ix - pad >= w {
+                        continue;
+                    }
+                    let ix = ix - pad;
+                    let ibase = ((ni * h + iy) * w + ix) * wpp;
+                    let src = &in_words[ibase..ibase + wpp];
+                    for (lm, lv) in mism.iter_mut().zip(levels) {
+                        let f_words = lv.filter.as_words();
+                        for (f, m) in lm.iter_mut().enumerate().take(fb) {
+                            let fbase = (((ki + f) * kh + ky) * kw + kx) * wpp;
+                            for (a, b) in src.iter().zip(&f_words[fbase..fbase + wpp]) {
+                                *m += (a ^ b).count_ones() as i32;
+                            }
+                        }
+                    }
+                }
+            }
+            let s = smap_item.map(|sm| sm[p]);
+            for (l, lv) in levels.iter().enumerate() {
+                for f in 0..fb {
+                    finalize_one(
+                        &mut out[(ki + f) * oplane + p],
+                        taps[p],
+                        c,
+                        mism[l][f],
+                        l == 0,
+                        lv.alpha.map(|a| a[ki + f]),
+                        s,
+                    );
+                }
+            }
+        });
+    }
 }
 
 /// Shape-derived state for running one [`PackedConv`] at a fixed input
 /// resolution: the precomputed [`ConvGeometry`], the fused
-/// binarization [`SignRule`]s (PlainSign mode), and the kernel backend
-/// — everything `forward_prepped` needs that does not depend on the
+/// binarization [`SignRule`]s (PlainSign mode), the kernel backend, and
+/// the GEMM's dense filter rows with their border-class biases —
+/// everything `forward_prepped` needs that does not depend on the
 /// activations.  Built once per `Step::Conv` at plan-compile time.
 ///
 /// This is deliberately *not* stored on [`PackedConv`] itself: the
@@ -670,9 +728,8 @@ pub struct ConvPrep {
     /// level count, possibly capped lower (cascade triage runs an
     /// M-level model at M = 1).
     levels: usize,
-    /// Dense A-matrix words for the GEMM interior (`None` when the
-    /// layer has no interior rectangle to tile and runs border-only).
-    gemm: Option<GemmPrep>,
+    /// Dense A-matrix words and border-class biases of the GEMM.
+    gemm: GemmPrep,
 }
 
 impl ConvPrep {
@@ -689,13 +746,6 @@ impl ConvPrep {
     /// Residual binarization levels this prep will execute.
     pub fn levels(&self) -> usize {
         self.levels
-    }
-
-    /// Whether this prep runs its interior through the bit-sliced GEMM
-    /// tier, at every batch size (`false` when the layer has no
-    /// interior rectangle and runs border-only).
-    pub fn gemm_tier(&self) -> bool {
-        self.gemm.is_some()
     }
 }
 
@@ -912,13 +962,14 @@ impl PackedConv {
             Vec::new()
         };
         let levels = max_levels.clamp(1, self.levels());
-        // Dense GEMM A-matrix per executed level: built eagerly (the
-        // prep is compiled once per plan step) so forwards only pack
-        // the activation side.
-        let gemm = geom.interior().map(|_| {
-            let extra = self.extra_levels[..levels - 1].iter().map(|(f, _)| f);
-            GemmPrep::new(std::iter::once(&self.filter).chain(extra))
-        });
+        // Dense GEMM A-matrix and border biases per executed level:
+        // built eagerly (the prep is compiled once per plan step) so
+        // forwards only pack the activation side.
+        let mut planes = [&self.filter; MAX_LEVELS];
+        for (plane, (f, _)) in planes[1..levels].iter_mut().zip(&self.extra_levels) {
+            *plane = f;
+        }
+        let gemm = GemmPrep::new(&geom, &planes[..levels]);
         ConvPrep {
             geom,
             rules,
@@ -961,9 +1012,9 @@ impl PackedConv {
     /// through exact per-channel threshold rules; the scaled modes use
     /// one fused pass that packs and accumulates the `|T_in|` channel
     /// mean together, then box-filters it with the O(1) sliding window.
-    /// The interior pixels of all `n` items then run as one bit-sliced
-    /// XNOR-GEMM and the border through the bounds-checked path, at
-    /// every batch size (see the module docs).
+    /// Every output pixel of all `n` items then runs through one
+    /// bit-sliced XNOR-GEMM, border pixels included, at every batch
+    /// size (see the module docs).
     ///
     /// # Panics
     ///
@@ -983,7 +1034,7 @@ impl PackedConv {
                 words,
                 n,
                 &prep.geom,
-                prep.gemm.as_ref(),
+                &prep.gemm,
                 levels,
                 smap,
                 ws,
@@ -993,11 +1044,12 @@ impl PackedConv {
     }
 
     /// Test oracle for [`PackedConv::forward_prepped`]: the same
-    /// binarize+pack, with every output pixel — the interior included —
-    /// sent through the bounds-checked border path.  No dense B-repack
-    /// and no GEMM, so it checks the GEMM tier against an independent
-    /// count; the finalize float ops are the same, so the outputs must
-    /// match bit for bit.  Only compiled with the `oracle` feature.
+    /// binarize+pack, with every output pixel sent through the
+    /// bounds-checked per-pixel path.  No dense B-repack, no GEMM and no
+    /// border correction, so it checks the GEMM engine against an
+    /// independent count; the finalize float ops are the same, so the
+    /// outputs must match bit for bit.  Only compiled with the `oracle`
+    /// feature.
     ///
     /// # Panics
     ///
@@ -1012,7 +1064,7 @@ impl PackedConv {
         out: &mut [f32],
     ) {
         self.forward_with(prep, x, n, ws, out, |words, levels, smap, _, out| {
-            border_levels(words, n, &prep.geom, None, levels, smap, out)
+            border::border_levels(words, n, &prep.geom, None, levels, smap, out)
         });
     }
 

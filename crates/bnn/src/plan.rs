@@ -15,9 +15,9 @@
 //!
 //! There is one engine and one run path.  Every run splits its batch
 //! into working-set-sized chunks and every conv step of a chunk runs
-//! [`PackedConv::forward_prepped`]: a bit-sliced XNOR-GEMM over the
-//! interior pixels of all the chunk's clips plus the bounds-checked
-//! border path.  A single clip takes the same path as a full batch;
+//! [`PackedConv::forward_prepped`]: one bit-sliced XNOR-GEMM over every
+//! output pixel of all the chunk's clips, border pixels corrected
+//! exactly in its epilogue.  A single clip takes the same path as a full batch;
 //! [`ExecPlan::run_into`], [`ExecPlan::run_batch_into`] and the
 //! profiled and feature-map variants differ only in what they record
 //! or return.
@@ -360,10 +360,9 @@ impl<'m> ExecPlan<'m> {
     /// `c`/`h`/`w` as compiled), writing `[n, classes]` logits into
     /// `logits`.
     ///
-    /// Every batch size runs the one conv engine: per conv step, the
-    /// interior pixels of all clips in a chunk form one bit-sliced
-    /// XNOR-GEMM and the border runs the bounds-checked path (see
-    /// [`PackedConv::forward_prepped`]).  The batch is split into chunks
+    /// Every batch size runs the one conv engine: per conv step, every
+    /// output pixel of all clips in a chunk goes through one bit-sliced
+    /// XNOR-GEMM (see [`PackedConv::forward_prepped`]).  The batch is split into chunks
     /// sized to a working-set budget; items are independent, so the
     /// split never changes an output bit.  All intermediates come from
     /// `ws`; after one warm-up call with the same `n`, subsequent calls
@@ -626,16 +625,12 @@ impl<'m> ExecPlan<'m> {
         }
     }
 
-    /// Whether any conv step of this plan carries a GEMM prep — i.e.
-    /// whether its runs engage the bit-sliced XNOR-GEMM tier, which
-    /// they then do at every batch size (layers whose output is all
-    /// border pixels compile without one and run border-only).
-    /// Benchmarks report this so throughput numbers name the tier that
-    /// produced them.
+    /// Whether this plan's runs engage the bit-sliced XNOR-GEMM tier —
+    /// true whenever it has a conv step, since every conv runs all its
+    /// output pixels through the GEMM.  Benchmarks report this so
+    /// throughput numbers name the tier that produced them.
     pub fn gemm_tier(&self) -> bool {
-        self.steps
-            .iter()
-            .any(|s| matches!(s, Step::Conv { prep, .. } if prep.gemm_tier()))
+        self.steps.iter().any(|s| matches!(s, Step::Conv { .. }))
     }
 
     /// Convenience wrapper: runs the plan on a `[n, c, h, w]` tensor

@@ -481,7 +481,6 @@ proptest! {
             conv.forward_reference(&prep, x, n, &mut Workspace::new(), &mut expect);
             for backend in KernelBackend::available() {
                 let prep = conv.prepare_with_backend(h, w, backend);
-                prop_assert!(prep.gemm_tier());
                 let mut got = vec![0.0f32; n * out_len];
                 conv.forward_prepped(&prep, x, n, &mut Workspace::new(), &mut got);
                 prop_assert_eq!(
@@ -511,5 +510,136 @@ proptest! {
         let g = block.backward(&Tensor::ones(y.shape()));
         prop_assert_eq!(g.shape(), x.shape());
         prop_assert!(g.as_slice().iter().all(|v| v.is_finite()));
+    }
+}
+
+/// A random `kf`-filter, `M`-level conv over `c` channels with a
+/// `k × k` kernel, drawn from `state`: ±1 weight planes, positive
+/// per-level scales, and a batch-norm affine whose scale stays
+/// positive.
+#[allow(clippy::too_many_arguments)]
+fn random_conv(
+    state: &mut u64,
+    c: usize,
+    kf: usize,
+    k: usize,
+    stride: usize,
+    pad: usize,
+    levels: usize,
+    scaling: ScalingMode,
+) -> PackedConv {
+    let plane = |state: &mut u64| {
+        let bits = (0..kf * c * k * k)
+            .map(|_| {
+                if next_u64(state) >> 63 == 0 {
+                    1.0
+                } else {
+                    -1.0
+                }
+            })
+            .collect();
+        BitFilter::from_tensor(&Tensor::from_vec(&[kf, c, k, k], bits))
+    };
+    let filter = plane(state);
+    let extra_levels = (1..levels)
+        .map(|_| {
+            let f = plane(state);
+            let alpha = small_f32s(state, kf)
+                .iter()
+                .map(|v| v.abs() + 0.05)
+                .collect();
+            (f, alpha)
+        })
+        .collect();
+    PackedConv::from_raw_parts(
+        small_f32s(state, c).iter().map(|v| v + 1.5).collect(),
+        small_f32s(state, c),
+        filter,
+        small_f32s(state, kf)
+            .iter()
+            .map(|v| v.abs() + 0.1)
+            .collect(),
+        stride,
+        pad,
+        k,
+        scaling,
+        extra_levels,
+    )
+}
+
+fn next_u64(state: &mut u64) -> u64 {
+    *state = state
+        .wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407);
+    *state
+}
+
+/// `len` values in `[-0.5, 0.5)`.
+fn small_f32s(state: &mut u64, len: usize) -> Vec<f32> {
+    (0..len)
+        .map(|_| ((next_u64(state) >> 40) as f32 / 16_777_216.0) - 0.5)
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2))]
+
+    /// Every conv geometry in a sweep computes bit for bit what the
+    /// bounds-checked oracle computes, on every compiled-in backend:
+    /// kernel 1–3 × stride 1–3 × pad 0–2 × every map from 1×1 to 9×9
+    /// that the padded kernel fits.  That covers maps smaller than the
+    /// kernel, odd and even sides, and 1×1 kernels with pad ≥ 1, whose
+    /// padded rows and columns see no in-bounds tap at all.  The GEMM
+    /// leaves out-of-bounds taps zero and corrects them through the
+    /// per-border-class bias; a wrong or neighbouring class shows up
+    /// here as a changed border pixel.  Each geometry draws its channel
+    /// count (1, 8, and across the 64-bit word boundary), level count
+    /// M ∈ {1, 2, 3}, scaling mode (PlainSign or PerChannel, which
+    /// adds the scale map) and batch size n ∈ {1, 3} from the case
+    /// seed.
+    #[test]
+    fn batched_conv_geometry_sweep(seed in 0u64..1 << 32) {
+        let st = &mut seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(11);
+        let backends = KernelBackend::available();
+        for k in 1..=3usize {
+            for stride in 1..=3usize {
+                for pad in 0..=2usize {
+                    for h in 1..=9usize {
+                        for w in 1..=9usize {
+                            if h + 2 * pad < k || w + 2 * pad < k {
+                                continue;
+                            }
+                            let c = [1usize, 8, 63, 64, 65, 130][next_u64(st) as usize % 6];
+                            let levels = 1 + next_u64(st) as usize % 3;
+                            let scaling = if next_u64(st) & 1 == 0 {
+                                ScalingMode::PlainSign
+                            } else {
+                                ScalingMode::PerChannel
+                            };
+                            let n = if next_u64(st) & 1 == 0 { 1 } else { 3 };
+                            let conv = random_conv(st, c, 5, k, stride, pad, levels, scaling);
+                            let x = small_f32s(st, n * c * h * w);
+                            let (oh, ow) = conv.output_hw(h, w);
+                            let out_len = n * 5 * oh * ow;
+                            let mut expect = vec![0.0f32; out_len];
+                            let prep = conv.prepare_with_backend(h, w, KernelBackend::Scalar);
+                            conv.forward_reference(&prep, &x, n, &mut Workspace::new(), &mut expect);
+                            let expect: Vec<u32> = expect.iter().map(|v| v.to_bits()).collect();
+                            for &backend in &backends {
+                                let prep = conv.prepare_with_backend(h, w, backend);
+                                let mut got = vec![0.0f32; out_len];
+                                conv.forward_prepped(&prep, &x, n, &mut Workspace::new(), &mut got);
+                                let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+                                prop_assert_eq!(
+                                    &got, &expect,
+                                    "k={} s={} p={} {}x{} c={} M={} {:?} n={} on {}",
+                                    k, stride, pad, h, w, c, levels, scaling, n, backend.name()
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -378,7 +378,9 @@ mod tests {
     fn shifted_margins_emit_exactly_one_event() {
         let clock = Arc::new(MockClock::new());
         let sink = Arc::new(CollectingSubscriber::new());
-        let old = trace::set_subscriber(sink.clone());
+        // Thread-scoped: sibling tests emit `drift.detected` on their
+        // own threads, which must not land in this sink.
+        let _scope = trace::set_thread_subscriber(sink.clone());
 
         let m = DriftMonitor::with_clock(cfg(), clock);
         for _ in 0..100 {
@@ -401,15 +403,6 @@ mod tests {
             .filter(|r| matches!(r, crate::subscribers::Record::Event { name, .. } if name == "drift.detected"))
             .count();
         assert_eq!(events, 1, "exactly one drift.detected event");
-
-        match old {
-            Some(prev) => {
-                trace::set_subscriber(prev);
-            }
-            None => {
-                trace::clear_subscriber();
-            }
-        }
     }
 
     #[test]

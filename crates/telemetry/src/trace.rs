@@ -15,12 +15,15 @@
 //! event!("train.rollback", epoch = 3usize, loss = f64::NAN);
 //! ```
 //!
-//! Subscribers are installed process-wide with [`set_subscriber`]; see
+//! Subscribers are installed process-wide with [`set_subscriber`], or
+//! for the current thread only with [`set_thread_subscriber`] — a
+//! scoped override that lets a test observe its own records while
+//! other threads trace to the global subscriber (or to nothing).  See
 //! [`crate::subscribers`] for the JSONL and stderr implementations.
 
 use crate::clock::{Clock, MonotonicClock};
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
 
 /// One typed field value attached to a span or event.
@@ -131,8 +134,15 @@ pub trait Subscriber: Send + Sync {
     fn on_span_end(&self, span: &SpanEndRecord<'_>);
 }
 
-/// Fast-path flag: `true` iff a global subscriber is installed.
-static ENABLED: AtomicBool = AtomicBool::new(false);
+/// Fast-path state: [`GLOBAL`] while a global subscriber is installed,
+/// plus [`SCOPED`] per live thread-scoped subscriber on any thread.
+/// Zero means nothing listens anywhere.  Updates are `Release` and the
+/// [`enabled`] check is `Acquire`, the pairing the boolean flag this
+/// replaces used; the subscribers themselves are read under the slot's
+/// lock or from the reading thread's own thread-local.
+static ACTIVE: AtomicUsize = AtomicUsize::new(0);
+const GLOBAL: usize = 1;
+const SCOPED: usize = 2;
 /// Monotonic span-id source (0 is reserved for "no span").
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
 
@@ -145,6 +155,8 @@ fn subscriber_slot() -> &'static RwLock<Option<Arc<dyn Subscriber>>> {
 thread_local! {
     /// Ids of the spans currently open on this thread, innermost last.
     static SPAN_STACK: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+    /// This thread's scoped subscriber, overriding the global one.
+    static THREAD_SUB: RefCell<Option<Arc<dyn Subscriber>>> = const { RefCell::new(None) };
 }
 
 /// Installs `sub` as the process-wide subscriber, replacing any
@@ -153,24 +165,92 @@ thread_local! {
 pub fn set_subscriber(sub: Arc<dyn Subscriber>) -> Option<Arc<dyn Subscriber>> {
     let mut slot = subscriber_slot().write().unwrap_or_else(|p| p.into_inner());
     let old = slot.replace(sub);
-    ENABLED.store(true, Ordering::Release);
+    ACTIVE.fetch_or(GLOBAL, Ordering::Release);
     old
 }
 
 /// Removes the process-wide subscriber, returning it.
 pub fn clear_subscriber() -> Option<Arc<dyn Subscriber>> {
     let mut slot = subscriber_slot().write().unwrap_or_else(|p| p.into_inner());
-    ENABLED.store(false, Ordering::Release);
+    ACTIVE.fetch_and(!GLOBAL, Ordering::Release);
     slot.take()
 }
 
-/// `true` when a subscriber is installed — the macros' fast-path check.
-#[inline]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Acquire)
+/// Installs `sub` as the subscriber of the **current thread** until the
+/// returned guard drops.  Records emitted on this thread go to `sub`
+/// instead of the global subscriber; other threads — including pool
+/// workers this thread hands work to — keep tracing to the global one.
+/// Guards nest: dropping one restores the thread's previous scoped
+/// subscriber.
+///
+/// This is how a test asserts on the events of the code it drives
+/// without a process-global subscriber that sibling tests, running
+/// concurrently in the same binary, would also emit into.
+///
+/// ```
+/// use hotspot_telemetry::subscribers::CollectingSubscriber;
+/// use hotspot_telemetry::{event, trace};
+/// use std::sync::Arc;
+///
+/// let sink = Arc::new(CollectingSubscriber::new());
+/// {
+///     let _scope = trace::set_thread_subscriber(sink.clone());
+///     event!("drift.detected", tvd = 0.9f64);
+/// }
+/// event!("drift.detected", tvd = 0.9f64); // after the scope: not captured
+/// assert_eq!(sink.records().len(), 1);
+/// ```
+pub fn set_thread_subscriber(sub: Arc<dyn Subscriber>) -> ThreadSubscriberGuard {
+    let prev = THREAD_SUB.with(|s| s.borrow_mut().replace(sub));
+    ACTIVE.fetch_add(SCOPED, Ordering::Release);
+    ThreadSubscriberGuard {
+        prev,
+        _not_send: std::marker::PhantomData,
+    }
 }
 
+/// Restores the thread's previous scoped subscriber on drop (see
+/// [`set_thread_subscriber`]).  `!Send`: it must drop on the thread
+/// that installed it.
+#[must_use = "dropping the guard immediately uninstalls the subscriber"]
+pub struct ThreadSubscriberGuard {
+    prev: Option<Arc<dyn Subscriber>>,
+    _not_send: std::marker::PhantomData<*const ()>,
+}
+
+impl Drop for ThreadSubscriberGuard {
+    fn drop(&mut self) {
+        let prev = self.prev.take();
+        // Runs during thread-local teardown only if the guard was
+        // leaked into another thread-local; nothing to restore then.
+        let _ = THREAD_SUB.try_with(|s| *s.borrow_mut() = prev);
+        ACTIVE.fetch_sub(SCOPED, Ordering::Release);
+    }
+}
+
+/// `true` when a subscriber would receive records emitted on this
+/// thread — the macros' fast-path check.  One atomic load when nothing
+/// is installed anywhere; a thread-local read only while some thread
+/// holds a scoped subscriber and no global one is installed.
+#[inline]
+pub fn enabled() -> bool {
+    match ACTIVE.load(Ordering::Acquire) {
+        0 => false,
+        a if a & GLOBAL != 0 => true,
+        _ => THREAD_SUB
+            .try_with(|s| s.borrow().is_some())
+            .unwrap_or(false),
+    }
+}
+
+/// Calls `f` with this thread's scoped subscriber if it has one, else
+/// with the global subscriber, if any.
 fn with_subscriber(f: impl FnOnce(&dyn Subscriber)) {
+    if ACTIVE.load(Ordering::Acquire) >= SCOPED {
+        if let Ok(Some(sub)) = THREAD_SUB.try_with(|s| s.borrow().clone()) {
+            return f(&*sub);
+        }
+    }
     let slot = subscriber_slot().read().unwrap_or_else(|p| p.into_inner());
     if let Some(sub) = slot.as_deref() {
         f(sub);
@@ -323,4 +403,47 @@ macro_rules! span {
             $crate::trace::SpanGuard::disabled()
         }
     };
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::subscribers::{CollectingSubscriber, Record};
+
+    fn names(sink: &CollectingSubscriber) -> Vec<String> {
+        sink.records()
+            .into_iter()
+            .map(|r| match r {
+                Record::Event { name, .. } => name,
+                Record::SpanStart { name, .. } => format!("{name}:start"),
+                Record::SpanEnd { name, .. } => format!("{name}:end"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn thread_subscriber_sees_only_its_thread_and_nests() {
+        let outer = Arc::new(CollectingSubscriber::new());
+        let inner = Arc::new(CollectingSubscriber::new());
+        {
+            let _outer = set_thread_subscriber(outer.clone());
+            assert!(enabled());
+            crate::event!("scoped.outer");
+            std::thread::spawn(|| crate::event!("scoped.other_thread"))
+                .join()
+                .expect("emitter thread");
+            {
+                let _inner = set_thread_subscriber(inner.clone());
+                let _span = crate::span!("scoped.span");
+                crate::event!("scoped.inner");
+            }
+            crate::event!("scoped.outer_again");
+        }
+        crate::event!("scoped.after");
+        assert_eq!(names(&outer), ["scoped.outer", "scoped.outer_again"]);
+        assert_eq!(
+            names(&inner),
+            ["scoped.span:start", "scoped.inner", "scoped.span:end"]
+        );
+    }
 }
