@@ -18,9 +18,9 @@
 //! [`PackedConv::forward_prepped`]: one bit-sliced XNOR-GEMM over every
 //! output pixel of all the chunk's clips, border pixels corrected
 //! exactly in its epilogue.  A single clip takes the same path as a full batch;
-//! [`ExecPlan::run_into`], [`ExecPlan::run_batch_into`] and the
-//! profiled and feature-map variants differ only in what they record
-//! or return.
+//! [`ExecPlan::run_into`], [`ExecPlan::run_batch_into`] and
+//! [`ExecPlan::run_batch_into_profiled`] differ only in what they
+//! record.
 //!
 //! The plan borrows the model (`ExecPlan<'m>`) and is immutable after
 //! compilation, so one plan can be shared by many rayon workers, each
@@ -83,12 +83,6 @@ enum Step<'m> {
         dst: usize,
         elems: usize,
     },
-    /// Copy the caller's input slice into buffer `dst`.  Only emitted
-    /// as the first step of a suffix segment (a plan starting at an
-    /// interior residual block), where the "input" is a feature map
-    /// that the first block may need twice — once for its main path
-    /// and once for its shortcut merge.
-    CopyInput { dst: usize, elems: usize },
 }
 
 /// A [`PackedBnn`] compiled into a flat layer sequence for one input
@@ -137,80 +131,26 @@ impl<'m> ExecPlan<'m> {
         backend: KernelBackend,
         max_levels: usize,
     ) -> Self {
-        ExecPlan::compile_segment(
-            model,
-            input_hw,
-            backend,
-            max_levels,
-            0..model.blocks().len(),
-        )
-    }
-
-    /// Compiles a contiguous *segment* of the model: when
-    /// `blocks.start == 0` the segment begins at the stem and reads
-    /// ±1 pixels; otherwise it begins at residual block `blocks.start`
-    /// and reads the feature map that block expects (the previous
-    /// block's output), delivered through the plan's input slice via a
-    /// leading [`Step::CopyInput`].  The full-chip scanner uses this to
-    /// split the net into a stride-1/2 prefix (run once per band) and a
-    /// suffix (run per window on reassembled prefix features).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `blocks` is out of range, or empty while starting
-    /// past the stem (a plan must execute at least one layer).
-    pub(crate) fn compile_segment(
-        model: &'m PackedBnn,
-        input_hw: (usize, usize),
-        backend: KernelBackend,
-        max_levels: usize,
-        blocks: std::ops::Range<usize>,
-    ) -> Self {
-        assert!(
-            blocks.end <= model.blocks().len(),
-            "block range out of range"
-        );
-        assert!(
-            blocks.start == 0 || blocks.start < blocks.end,
-            "a suffix segment must contain at least one block"
-        );
         let stem = model.stem();
         let mut steps = Vec::new();
         let mut step_names = Vec::new();
         let mut buf_elems = [0usize; 3];
 
-        let (mut h, mut w);
-        let mut c;
-        let input_c;
-        if blocks.start == 0 {
-            (h, w) = stem.output_hw(input_hw.0, input_hw.1);
-            c = stem.out_channels();
-            input_c = stem.in_channels();
-            buf_elems[0] = c * h * w;
-            steps.push(Step::Conv {
-                conv: stem,
-                prep: Box::new(stem.prepare_capped(input_hw.0, input_hw.1, backend, max_levels)),
-                src: Src::Input,
-                dst: 0,
-                in_hw: input_hw,
-                out_elems: c * h * w,
-            });
-            step_names.push("stem".to_string());
-        } else {
-            (h, w) = input_hw;
-            c = model.blocks()[blocks.start - 1].out_channels();
-            input_c = c;
-            buf_elems[0] = c * h * w;
-            steps.push(Step::CopyInput {
-                dst: 0,
-                elems: c * h * w,
-            });
-            step_names.push("input".to_string());
-        }
+        let (mut h, mut w) = stem.output_hw(input_hw.0, input_hw.1);
+        let mut c = stem.out_channels();
+        buf_elems[0] = c * h * w;
+        steps.push(Step::Conv {
+            conv: stem,
+            prep: Box::new(stem.prepare_capped(input_hw.0, input_hw.1, backend, max_levels)),
+            src: Src::Input,
+            dst: 0,
+            in_hw: input_hw,
+            out_elems: c * h * w,
+        });
+        step_names.push("stem".to_string());
         let mut cur = 0usize;
 
-        for bi in blocks.clone() {
-            let block = &model.blocks()[bi];
+        for (bi, block) in model.blocks().iter().enumerate() {
             let a = cur;
             // The two buffers not holding the block input: `b` for the
             // mid activation (and later the projection shortcut, which
@@ -287,7 +227,7 @@ impl<'m> ExecPlan<'m> {
         ExecPlan {
             model,
             backend,
-            input_c,
+            input_c: stem.in_channels(),
             input_hw,
             steps,
             step_names,
@@ -315,7 +255,7 @@ impl<'m> ExecPlan<'m> {
             .iter()
             .map(|s| match s {
                 Step::Conv { prep, .. } => prep.levels(),
-                Step::Add { .. } | Step::CopyInput { .. } => 1,
+                Step::Add { .. } => 1,
             })
             .max()
             .unwrap_or(1)
@@ -473,7 +413,7 @@ impl<'m> ExecPlan<'m> {
         mut prof: Option<&mut SlotProfiler>,
     ) {
         let classes = self.model.fc_weight().shape()[0];
-        let mut bufs = self.take_bufs(n, ws);
+        let mut bufs = self.buf_elems.map(|e| ws.take_f32(n * e));
         self.exec_steps(input, n, ws, &mut bufs, &mut prof);
 
         // Global average pool + full-precision classifier, with the
@@ -510,15 +450,6 @@ impl<'m> ExecPlan<'m> {
             p.record_since(gap_slot + 1, t);
         }
         ws.give_f32(pooled);
-        self.give_bufs(bufs, ws);
-    }
-
-    /// The three ping-pong activation buffers for an `n`-item chunk.
-    fn take_bufs(&self, n: usize, ws: &mut Workspace) -> [Vec<f32>; 3] {
-        self.buf_elems.map(|e| ws.take_f32(n * e))
-    }
-
-    fn give_bufs(&self, bufs: [Vec<f32>; 3], ws: &mut Workspace) {
         for b in bufs {
             ws.give_f32(b);
         }
@@ -570,58 +501,10 @@ impl<'m> ExecPlan<'m> {
                         *o += v;
                     }
                 }
-                Step::CopyInput { dst, elems } => {
-                    let len = n * elems;
-                    bufs[*dst][..len].copy_from_slice(&input[..len]);
-                }
             }
             if let (Some(p), Some(t)) = (prof.as_deref_mut(), t0) {
                 p.record_since(si, t);
             }
-        }
-    }
-
-    /// The shape of the feature map the layer steps produce, as
-    /// `(channels, height, width)` — what [`run_features_into`]
-    /// (ExecPlan::run_features_into) writes per batch item.
-    pub fn feature_shape(&self) -> (usize, usize, usize) {
-        (self.feat_c, self.final_hw.0, self.final_hw.1)
-    }
-
-    /// Runs only the layer steps (no pooling or classifier), writing
-    /// the raw `[n, c, h, w]` feature map into `features` (shape from
-    /// [`feature_shape`](ExecPlan::feature_shape)).  The full-chip
-    /// scanner runs a prefix segment this way once per band and feeds
-    /// the features to per-window suffix plans.  Same engine, chunking
-    /// and workspace discipline as [`run_into`](ExecPlan::run_into):
-    /// zero heap allocations once warm.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a slice length disagrees with the compiled shapes.
-    pub fn run_features_into(
-        &self,
-        input: &[f32],
-        n: usize,
-        ws: &mut Workspace,
-        features: &mut [f32],
-    ) {
-        let (h, w) = self.input_hw;
-        let item = self.input_c * h * w;
-        assert_eq!(input.len(), n * item, "input length mismatch");
-        let (fc, fh, fw) = self.feature_shape();
-        let feat = fc * fh * fw;
-        assert_eq!(features.len(), n * feat, "feature buffer length mismatch");
-        let chunk = self.batch_chunk();
-        for (inp, ft) in input
-            .chunks(chunk * item)
-            .zip(features.chunks_mut(chunk * feat))
-        {
-            let m = inp.len() / item;
-            let mut bufs = self.take_bufs(m, ws);
-            self.exec_steps(inp, m, ws, &mut bufs, &mut None);
-            ft.copy_from_slice(&bufs[self.final_buf][..m * feat]);
-            self.give_bufs(bufs, ws);
         }
     }
 

@@ -156,9 +156,7 @@ pub fn box_filter_into(
 /// every output value is a pure function of its own column span.  This
 /// makes the map translation-invariant at the bit level: filtering a
 /// wide plane and filtering a cropped window of it produce identical
-/// f32 values wherever their spans coincide, which the full-chip
-/// scanner (`crate::scan`) relies on to reuse one band-wide scale map
-/// across overlapping windows.  Sums are kept in `f64` so the
+/// f32 values wherever their spans coincide.  Sums are kept in `f64` so the
 /// incremental row subtract/add introduces no drift against the
 /// windowed values (and a final `max(0.0)` clamp guarantees
 /// non-negative maps for non-negative input planes regardless of

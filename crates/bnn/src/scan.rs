@@ -1,6 +1,5 @@
 //! Full-chip streaming scanner: sliding-window hotspot detection over
-//! arbitrarily large layouts with cross-window activation reuse
-//! (DESIGN.md §5j).
+//! arbitrarily large layouts (DESIGN.md §5j).
 //!
 //! The per-clip path answers "is this 128×128 clip a hotspot?".  This
 //! module answers "where are the hotspots on this chip?" by sliding a
@@ -8,48 +7,21 @@
 //! every position through the M=1 triage → M-level confirm cascade, and
 //! coalescing hotspot windows into defect [`Region`]s.
 //!
-//! # Window reuse
+//! # Scoring
 //!
-//! Overlapping windows recompute almost identical early-layer
-//! activations: at stride 64 with a 128-window, horizontal neighbours
-//! share half their pixels.  The scanner therefore splits the net into
-//! a *prefix* (the stem and leading residual blocks while the
-//! cumulative stride stays ≤ 2) and a *suffix* (the rest), and runs the
-//! prefix **once per band** — a full-width horizontal slab spanning
-//! exactly the window rows of one grid row.  Each window then assembles
-//! its prefix feature map from three sources and only runs the suffix:
-//!
-//! * **interior columns** come straight from the band slab.  Because
-//!   the band has exactly the window's height, vertical border effects
-//!   (zero padding, box-filter spans, partial conv taps) are identical
-//!   to a cropped window everywhere — only *horizontal* window borders
-//!   differ;
-//! * **left/right ring columns** — the `R` outermost feature columns
-//!   whose receptive field crosses a vertical window edge (where the
-//!   cropped window zero-pads but the slab sees real neighbours) —
-//!   come from narrow per-window *border strips*: the prefix re-run on
-//!   just the outermost `S` input columns of the window, batched across
-//!   the band.
-//!
-//! `R` and `S` fall out of two per-layer recurrences (see
-//! [`Scanner::reuse_info`]): a cut edge contaminates
-//! `g' = ⌈(g+p)/s⌉` output columns per conv, and an `S`-column strip
-//! keeps `v' = ⌊(v+p−k)/s⌋+1` valid columns.  For the paper's 12-layer
-//! net the prefix is stem+res1+res2 (cumulative stride 2), `R = 3`
-//! feature columns and `S = 12` input columns.
-//!
-//! Everything downstream of the prefix — suffix, pooling, classifier,
-//! and the confirm stage (which re-runs the *full* net at max M on the
-//! cropped window, exactly like the per-clip cascade) — is unchanged,
-//! and because the box filter, popcount convs, and adds are all
-//! translation-exact (see [`crate::scaling::box_filter_sliding_into`]),
-//! scanner verdicts are **bit-identical** to naive crop-and-classify.
-//! The `scan_equivalence` proptest enforces this across strides,
-//! backends, and M-levels.
-//!
-//! Windows the reuse path cannot serve (misaligned flush columns,
-//! chips smaller than the window) fall back to the naive per-window
-//! path — same math, same verdicts.
+//! Every window is scored as a clip.  The scanner crops it — zero-extended
+//! past the chip edge, exactly the content per-clip inference would see —
+//! and runs one window row's crops through the M = 1 triage plan in
+//! batches.  Crops whose `|margin| < cascade_threshold` are re-scored by
+//! the full-M confirm plan, the serving cascade's contract.  With
+//! [`ScanConfig::dedup`] on, a crop identical to an earlier window's
+//! (blank regions, repeated cells) is not scored again: a content-keyed
+//! cache hands it that window's verdict.  Inference is deterministic in
+//! the window bits, so [`Scanner::scan`] is **bit-identical** to
+//! [`Scanner::scan_naive`], the same path without the cache; the
+//! `scan_equivalence` proptest enforces this across strides, backends,
+//! and M-levels, and `tests/golden.rs` pins one scan's verdicts across
+//! revisions.
 //!
 //! # Region merging
 //!
@@ -60,13 +32,13 @@
 //! best-scoring window origin as its peak.  See [`merge_hits`].
 
 use crate::kernels::{active_backend, KernelBackend};
-use crate::packed::{PackedBnn, PackedConv};
+use crate::packed::PackedBnn;
 use crate::plan::ExecPlan;
 use hotspot_geometry::BitImage;
 use hotspot_tensor::workspace::Workspace;
 use std::collections::HashMap;
 
-/// Windows scored per plan invocation on the batched paths.
+/// Windows scored per plan invocation.
 const BATCH: usize = 32;
 
 /// Scanner knobs; `stride` is the only mandatory choice.
@@ -163,65 +135,30 @@ pub struct ScanReport {
     pub hotspots: usize,
     /// Windows the confirm stage re-scored.
     pub escalated: usize,
-    /// Windows served through the band-reuse path.
+    /// Always 0.  It counted windows served by a band-reuse path that
+    /// no longer exists; kept because the repo benchmark (`perfbench/`)
+    /// reports it.
     pub reused: usize,
-    /// Windows that ran the naive per-window path (misaligned or
-    /// undersized chips — and every window of the naive modes).
+    /// Windows cropped and run through the plans: every window not
+    /// answered from the dedup cache, so `fallback + dedup_hits ==
+    /// windows`.  The name predates the deletion of the band-reuse
+    /// path; kept because the repo benchmark (`perfbench/`) reports it.
     pub fallback: usize,
     /// Windows answered from the content-dedup cache.
     pub dedup_hits: usize,
-}
-
-/// How a [`Scanner`] split the model for reuse (diagnostics / docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReuseInfo {
-    /// Residual blocks in the prefix (the stem is always included).
-    pub prefix_blocks: usize,
-    /// Cumulative prefix stride: slab columns are `f` input pixels
-    /// apart, so only windows at `x ≡ 0 (mod f)` can reuse the slab.
-    pub stride: usize,
-    /// Contaminated feature columns at a left window edge.
-    pub ring_left: usize,
-    /// Contaminated feature columns at a right window edge.
-    pub ring_right: usize,
-    /// Border-strip width in input pixels.
-    pub strip_cols: usize,
-}
-
-#[derive(Debug)]
-struct Reuse<'m> {
-    info: ReuseInfo,
-    /// Prefix feature channels / per-window feature height and width.
-    pc: usize,
-    oh: usize,
-    ow: usize,
-    /// Prefix output width of a border strip.
-    strip_ow: usize,
-    /// Prefix on `(window, strip_cols)` input, M = 1.
-    strip_plan: ExecPlan<'m>,
-    /// Remaining blocks on `(oh, ow)` features, M = 1.
-    suffix_plan: ExecPlan<'m>,
 }
 
 /// A compiled full-chip scanner for one model, window size, and
 /// configuration (see module docs).
 #[derive(Debug)]
 pub struct Scanner<'m> {
-    model: &'m PackedBnn,
     backend: KernelBackend,
     window: usize,
     config: ScanConfig,
-    /// Whole net on a window, M = 1 (triage / fallback).
-    full_triage: ExecPlan<'m>,
+    /// Whole net on a window, M = 1 (the cascade's first stage).
+    triage: ExecPlan<'m>,
     /// Whole net on a window, full M (confirm / naive-full baseline).
-    full_confirm: ExecPlan<'m>,
-    reuse: Option<Reuse<'m>>,
-}
-
-enum Mode {
-    Reuse,
-    Naive,
-    NaiveFull,
+    confirm: ExecPlan<'m>,
 }
 
 impl<'m> Scanner<'m> {
@@ -229,9 +166,9 @@ impl<'m> Scanner<'m> {
     ///
     /// # Panics
     ///
-    /// Panics when the model is not single-channel, `window` or
-    /// `config.stride` is zero, or `config.cascade_threshold` is
-    /// negative/NaN.
+    /// Panics when the model is not single-channel or has other than
+    /// two classes, `window` or `config.stride` is zero, or
+    /// `config.cascade_threshold` is negative/NaN.
     pub fn new(model: &'m PackedBnn, window: usize, config: ScanConfig) -> Self {
         Scanner::with_backend(model, window, config, active_backend())
     }
@@ -255,17 +192,17 @@ impl<'m> Scanner<'m> {
             1,
             "the scanner feeds single-channel layout windows"
         );
-        let full_triage = ExecPlan::compile_capped(model, (window, window), backend, 1);
-        let full_confirm = ExecPlan::compile_capped(model, (window, window), backend, usize::MAX);
-        let reuse = derive_reuse(model, window, backend);
+        assert_eq!(
+            model.fc_weight().shape()[0],
+            2,
+            "the cascade expects binary logits"
+        );
         Scanner {
-            model,
             backend,
             window,
             config,
-            full_triage,
-            full_confirm,
-            reuse,
+            triage: ExecPlan::compile_capped(model, (window, window), backend, 1),
+            confirm: ExecPlan::compile_capped(model, (window, window), backend, usize::MAX),
         }
     }
 
@@ -284,344 +221,142 @@ impl<'m> Scanner<'m> {
         self.backend
     }
 
-    /// How the model was split for activation reuse, or `None` when
-    /// this model/window combination scans fully naively.
-    pub fn reuse_info(&self) -> Option<ReuseInfo> {
-        self.reuse.as_ref().map(|r| r.info)
-    }
-
-    /// Scans a chip with cross-window activation reuse (see module
-    /// docs).  Verdicts and regions are bit-identical to
-    /// [`scan_naive`](Scanner::scan_naive).
+    /// Scans a chip through the cascade, with the dedup cache when
+    /// [`ScanConfig::dedup`] is on (see module docs).  Verdicts and
+    /// regions are bit-identical to [`scan_naive`](Scanner::scan_naive).
     pub fn scan(&self, image: &BitImage, ws: &mut Workspace) -> ScanReport {
-        self.scan_impl(image, ws, Mode::Reuse)
+        self.scan_impl(image, ws, &self.triage, self.config.dedup)
     }
 
     /// Reference scanner: crops every window and runs the per-clip
-    /// cascade, no reuse, no dedup.  The equivalence oracle.
+    /// cascade, no dedup.  The equivalence oracle.
     pub fn scan_naive(&self, image: &BitImage, ws: &mut Workspace) -> ScanReport {
-        self.scan_impl(image, ws, Mode::Naive)
+        self.scan_impl(image, ws, &self.triage, false)
     }
 
     /// Baseline scanner for benchmarks: crops every window and runs
     /// the *full M-level* model on each — per-clip inference without
     /// even the cascade's triage shortcut.
     pub fn scan_naive_full(&self, image: &BitImage, ws: &mut Workspace) -> ScanReport {
-        self.scan_impl(image, ws, Mode::NaiveFull)
+        self.scan_impl(image, ws, &self.confirm, false)
     }
 
-    fn scan_impl(&self, image: &BitImage, ws: &mut Workspace, mode: Mode) -> ScanReport {
+    /// Scores every window with `plan` through [`score`](Self::score),
+    /// one grid row of crops at a time.  With `dedup`, a crop identical
+    /// to an earlier window's is not scored again but shares its result.
+    fn scan_impl(
+        &self,
+        image: &BitImage,
+        ws: &mut Workspace,
+        plan: &ExecPlan<'m>,
+        dedup: bool,
+    ) -> ScanReport {
         let side = self.window;
         let stride = self.config.stride;
         let (cw, chh) = (image.width(), image.height());
         let xs = scan_grid(cw, side, stride);
         let ys = scan_grid(chh, side, stride);
-        let nwin = xs.len() * ys.len();
-        let mut verdicts: Vec<Option<WindowVerdict>> = vec![None; nwin];
-        let use_dedup = self.config.dedup && matches!(mode, Mode::Reuse);
-        let mut cache: HashMap<Vec<u64>, (f32, bool, bool)> = HashMap::new();
-        let (mut reused, mut fallback, mut dedup_hits, mut escalated_n) = (0usize, 0, 0, 0);
+        let mut verdicts = Vec::with_capacity(xs.len() * ys.len());
+        // `(margin, escalated)` of every scored crop; `cache` maps crop
+        // content to its index here (and stays empty without dedup).
+        let mut results: Vec<(f32, bool)> = Vec::new();
+        let mut cache: HashMap<Vec<u64>, usize> = HashMap::new();
+        let mut dedup_hits = 0usize;
 
-        // The band prefix plan depends on the chip width; compile it
-        // once per scan when any band can use it.
-        let band_plan = match (&self.reuse, &mode) {
-            (Some(_), Mode::Reuse) if cw >= side && chh >= side => Some(ExecPlan::compile_segment(
-                self.model,
-                (side, cw),
-                self.backend,
-                1,
-                0..self.reuse.as_ref().map_or(0, |r| r.info.prefix_blocks),
-            )),
-            _ => None,
-        };
-
-        for (yi, &y) in ys.iter().enumerate() {
-            // Collect the windows of this band that still need work.
-            let mut slots: Vec<usize> = Vec::with_capacity(xs.len());
-            let mut wxs: Vec<usize> = Vec::with_capacity(xs.len());
-            let mut crops: Vec<BitImage> = Vec::with_capacity(xs.len());
-            for (xi, &x) in xs.iter().enumerate() {
-                let slot = yi * xs.len() + xi;
-                let crop = crop_window(image, x, y, side);
-                if use_dedup {
-                    if let Some(&(margin, hotspot, esc)) = cache.get(crop.as_words()) {
-                        verdicts[slot] = Some(WindowVerdict {
-                            x,
-                            y,
-                            hotspot,
-                            margin,
-                            escalated: esc,
-                        });
+        for &y in &ys {
+            let mut crops = Vec::new();
+            let ids: Vec<usize> = xs
+                .iter()
+                .map(|&x| {
+                    let crop = crop_window(image, x, y, side);
+                    if let Some(&id) = cache.get(crop.as_words()) {
                         dedup_hits += 1;
-                        if esc {
-                            escalated_n += 1;
-                        }
-                        continue;
+                        return id;
                     }
-                }
-                slots.push(slot);
-                wxs.push(x);
-                crops.push(crop);
-            }
-            if slots.is_empty() {
-                continue;
-            }
-
-            // Triage margins for every pending window of the band.
-            let mut margins = vec![0.0f32; slots.len()];
-            match mode {
-                Mode::NaiveFull => {
-                    self.margins_for_crops(&self.full_confirm, &crops, ws, &mut margins);
-                    fallback += slots.len();
-                }
-                Mode::Naive => {
-                    self.margins_for_crops(&self.full_triage, &crops, ws, &mut margins);
-                    fallback += slots.len();
-                }
-                Mode::Reuse => {
-                    let (mut r_idx, mut n_idx): (Vec<usize>, Vec<usize>) = (vec![], vec![]);
-                    if let (Some(reuse), Some(band_plan)) = (&self.reuse, &band_plan) {
-                        let f = reuse.info.stride;
-                        for (i, &x) in wxs.iter().enumerate() {
-                            if x % f == 0 && x + side <= cw && y + side <= chh {
-                                r_idx.push(i);
-                            } else {
-                                n_idx.push(i);
-                            }
-                        }
-                        if !r_idx.is_empty() {
-                            self.band_margins(
-                                reuse,
-                                band_plan,
-                                image,
-                                y,
-                                &wxs,
-                                &crops,
-                                &r_idx,
-                                ws,
-                                &mut margins,
-                            );
-                            reused += r_idx.len();
-                        }
-                    } else {
-                        n_idx.extend(0..wxs.len());
+                    let id = results.len() + crops.len();
+                    if dedup {
+                        cache.insert(crop.as_words().to_vec(), id);
                     }
-                    if !n_idx.is_empty() {
-                        let sub: Vec<BitImage> = n_idx.iter().map(|&i| crops[i].clone()).collect();
-                        let mut sub_m = vec![0.0f32; sub.len()];
-                        self.margins_for_crops(&self.full_triage, &sub, ws, &mut sub_m);
-                        for (&i, m) in n_idx.iter().zip(&sub_m) {
-                            margins[i] = *m;
-                        }
-                        fallback += n_idx.len();
-                    }
-                }
-            }
-
-            // Cascade: the serving contract — escalate near-boundary
-            // triage verdicts to the full M-level model.
-            let cascade = matches!(mode, Mode::Reuse | Mode::Naive);
-            let mut esc_idx: Vec<usize> = Vec::new();
-            if cascade && !self.config.triage_only && self.model.levels() > 1 {
-                for (i, m) in margins.iter().enumerate() {
-                    if m.abs() < self.config.cascade_threshold {
-                        esc_idx.push(i);
-                    }
-                }
-            }
-            if !esc_idx.is_empty() {
-                let sub: Vec<BitImage> = esc_idx.iter().map(|&i| crops[i].clone()).collect();
-                let mut sub_m = vec![0.0f32; sub.len()];
-                self.margins_for_crops(&self.full_confirm, &sub, ws, &mut sub_m);
-                for (&i, m) in esc_idx.iter().zip(&sub_m) {
-                    margins[i] = *m;
-                }
-            }
-
-            for (i, (&slot, &x)) in slots.iter().zip(&wxs).enumerate() {
-                let esc = esc_idx.contains(&i);
-                let margin = margins[i];
-                let hotspot = margin >= 0.0;
-                if esc {
-                    escalated_n += 1;
-                }
-                verdicts[slot] = Some(WindowVerdict {
+                    crops.push(crop);
+                    id
+                })
+                .collect();
+            results.extend(self.score(plan, &crops, ws));
+            for (&x, id) in xs.iter().zip(ids) {
+                let (margin, escalated) = results[id];
+                verdicts.push(WindowVerdict {
                     x,
                     y,
-                    hotspot,
+                    hotspot: margin >= 0.0,
                     margin,
-                    escalated: esc,
+                    escalated,
                 });
-                if use_dedup {
-                    cache.insert(crops[i].as_words().to_vec(), (margin, hotspot, esc));
-                }
             }
         }
 
-        let verdicts: Vec<WindowVerdict> = verdicts
-            .into_iter()
-            .map(|v| v.expect("window scored"))
-            .collect();
         let regions = merge_hits(&verdicts, side, cw, chh);
-        let hotspots = verdicts.iter().filter(|v| v.hotspot).count();
         ScanReport {
             chip: (cw, chh),
             window: side,
             stride,
             windows: verdicts.len(),
-            hotspots,
-            escalated: escalated_n,
-            reused,
-            fallback,
+            hotspots: verdicts.iter().filter(|v| v.hotspot).count(),
+            escalated: verdicts.iter().filter(|v| v.escalated).count(),
+            reused: 0,
+            fallback: results.len(),
             dedup_hits,
             verdicts,
             regions,
         }
     }
 
-    /// Scores window crops through `plan` in batches, writing logit
-    /// margins (hotspot − non-hotspot).
-    fn margins_for_crops(
+    /// `(margin, escalated)` for each crop: its margin under `plan`,
+    /// re-scored by the confirm plan when `plan` runs fewer residual
+    /// levels and `|margin| < cascade_threshold` — the serving
+    /// cascade's contract.
+    fn score(
         &self,
-        plan: &ExecPlan<'_>,
+        plan: &ExecPlan<'m>,
         crops: &[BitImage],
         ws: &mut Workspace,
-        out: &mut [f32],
-    ) {
-        let side = self.window;
-        let classes = self.model.fc_weight().shape()[0];
-        assert_eq!(classes, 2, "the cascade expects binary logits");
-        for (ci, chunk) in crops.chunks(BATCH).enumerate() {
+    ) -> Vec<(f32, bool)> {
+        let all: Vec<&BitImage> = crops.iter().collect();
+        let mut scored: Vec<(f32, bool)> = self
+            .margins(plan, &all, ws)
+            .into_iter()
+            .map(|m| (m, false))
+            .collect();
+        if self.config.triage_only || plan.levels() >= self.confirm.levels() {
+            return scored;
+        }
+        let esc: Vec<usize> = (0..crops.len())
+            .filter(|&i| scored[i].0.abs() < self.config.cascade_threshold)
+            .collect();
+        let confirm: Vec<&BitImage> = esc.iter().map(|&i| &crops[i]).collect();
+        for (&i, m) in esc.iter().zip(self.margins(&self.confirm, &confirm, ws)) {
+            scored[i] = (m, true);
+        }
+        scored
+    }
+
+    /// Logit margins (hotspot − non-hotspot) of `crops` under `plan`,
+    /// scored in batches.
+    fn margins(&self, plan: &ExecPlan<'_>, crops: &[&BitImage], ws: &mut Workspace) -> Vec<f32> {
+        let item = self.window * self.window;
+        let mut out = Vec::with_capacity(crops.len());
+        for chunk in crops.chunks(BATCH) {
             let n = chunk.len();
-            let mut input = ws.take_f32(n * side * side);
-            for (i, crop) in chunk.iter().enumerate() {
-                image_to_signed_into(crop, &mut input[i * side * side..(i + 1) * side * side]);
+            let mut input = ws.take_f32(n * item);
+            for (crop, dst) in chunk.iter().zip(input.chunks_mut(item)) {
+                image_to_signed_into(crop, dst);
             }
-            let mut logits = ws.take_f32(n * classes);
+            let mut logits = ws.take_f32(n * 2);
             plan.run_batch_into(&input, n, ws, &mut logits);
-            for i in 0..n {
-                out[ci * BATCH + i] = logits[i * classes + 1] - logits[i * classes];
-            }
+            out.extend(logits.chunks(2).map(|l| l[1] - l[0]));
             ws.give_f32(input);
             ws.give_f32(logits);
         }
-    }
-
-    /// The reuse path for one band: prefix slab + border strips +
-    /// per-window suffix, writing triage margins for `r_idx` windows.
-    #[allow(clippy::too_many_arguments)]
-    fn band_margins(
-        &self,
-        reuse: &Reuse<'m>,
-        band_plan: &ExecPlan<'m>,
-        image: &BitImage,
-        y: usize,
-        wxs: &[usize],
-        crops: &[BitImage],
-        r_idx: &[usize],
-        ws: &mut Workspace,
-        margins: &mut [f32],
-    ) {
-        let side = self.window;
-        let cw = image.width();
-        let f = reuse.info.stride;
-        let (rl, rr) = (reuse.info.ring_left, reuse.info.ring_right);
-        let sin = reuse.info.strip_cols;
-        let (pc, oh, ow, sow_strip) = (reuse.pc, reuse.oh, reuse.ow, reuse.strip_ow);
-
-        // 1. Band slab: the prefix over the full chip width.
-        let (bpc, boh, bow) = band_plan.feature_shape();
-        debug_assert_eq!((bpc, boh), (pc, oh));
-        let mut band_input = ws.take_f32(side * cw);
-        for r in 0..side {
-            row_to_signed(image, y + r, &mut band_input[r * cw..(r + 1) * cw]);
-        }
-        let mut slab = ws.take_f32(pc * oh * bow);
-        band_plan.run_features_into(&band_input, 1, ws, &mut slab);
-        ws.give_f32(band_input);
-
-        // 2. Border strips, batched across the band.
-        let lefts: Vec<usize> = r_idx
-            .iter()
-            .copied()
-            .filter(|&i| rl > 0 && wxs[i] > 0)
-            .collect();
-        let rights: Vec<usize> = r_idx
-            .iter()
-            .copied()
-            .filter(|&i| rr > 0 && wxs[i] + side < cw)
-            .collect();
-        let strip_feats = |idx: &[usize], col0: usize, ws: &mut Workspace| -> Vec<f32> {
-            let mut feats = vec![0.0f32; idx.len() * pc * oh * sow_strip];
-            for (bi, chunk) in idx.chunks(BATCH).enumerate() {
-                let n = chunk.len();
-                let mut input = ws.take_f32(n * side * sin);
-                for (i, &wi) in chunk.iter().enumerate() {
-                    let crop = &crops[wi];
-                    let dst = &mut input[i * side * sin..(i + 1) * side * sin];
-                    for r in 0..side {
-                        for c in 0..sin {
-                            dst[r * sin + c] = if crop.get(col0 + c, r) { 1.0 } else { -1.0 };
-                        }
-                    }
-                }
-                let lo = bi * BATCH * pc * oh * sow_strip;
-                reuse.strip_plan.run_features_into(
-                    &input,
-                    n,
-                    ws,
-                    &mut feats[lo..lo + n * pc * oh * sow_strip],
-                );
-                ws.give_f32(input);
-            }
-            feats
-        };
-        let lfeat = strip_feats(&lefts, 0, ws);
-        let rfeat = strip_feats(&rights, side - sin, ws);
-        let lpos: HashMap<usize, usize> = lefts.iter().enumerate().map(|(p, &i)| (i, p)).collect();
-        let rpos: HashMap<usize, usize> = rights.iter().enumerate().map(|(p, &i)| (i, p)).collect();
-
-        // 3. Assemble per-window features and run the suffix.
-        let classes = self.model.fc_weight().shape()[0];
-        let wfeat = pc * oh * ow;
-        for chunk in r_idx.chunks(BATCH) {
-            let n = chunk.len();
-            let mut assembled = ws.take_f32(n * wfeat);
-            for (i, &wi) in chunk.iter().enumerate() {
-                let x = wxs[wi];
-                let xo = x / f;
-                let il = if x > 0 { rl } else { 0 };
-                let ih = if x + side < cw { ow - rr } else { ow };
-                let dst = &mut assembled[i * wfeat..(i + 1) * wfeat];
-                for ch in 0..pc {
-                    for row in 0..oh {
-                        let d = &mut dst[(ch * oh + row) * ow..(ch * oh + row + 1) * ow];
-                        let s = &slab[(ch * oh + row) * bow..(ch * oh + row + 1) * bow];
-                        d[il..ih].copy_from_slice(&s[xo + il..xo + ih]);
-                        if il > 0 {
-                            let p = lpos[&wi] * pc * oh * sow_strip;
-                            let ls = &lfeat[p + (ch * oh + row) * sow_strip..];
-                            d[..il].copy_from_slice(&ls[..il]);
-                        }
-                        if ih < ow {
-                            let p = rpos[&wi] * pc * oh * sow_strip;
-                            let rs = &rfeat[p + (ch * oh + row) * sow_strip..];
-                            d[ih..].copy_from_slice(&rs[sow_strip - (ow - ih)..sow_strip]);
-                        }
-                    }
-                }
-            }
-            let mut logits = ws.take_f32(n * classes);
-            reuse
-                .suffix_plan
-                .run_batch_into(&assembled, n, ws, &mut logits);
-            for (i, &wi) in chunk.iter().enumerate() {
-                margins[wi] = logits[i * classes + 1] - logits[i * classes];
-            }
-            ws.give_f32(assembled);
-            ws.give_f32(logits);
-        }
-        ws.give_f32(slab);
+        out
     }
 }
 
@@ -678,24 +413,19 @@ pub(crate) fn crop_window(image: &BitImage, x0: usize, y0: usize, side: usize) -
     BitImage::from_words(side, side, words).expect("crop respects the word invariant")
 }
 
-/// ±1 values of one chip row into `out` (length = chip width).
-fn row_to_signed(image: &BitImage, y: usize, out: &mut [f32]) {
-    let words = image.row_words(y);
-    for (x, slot) in out.iter_mut().enumerate() {
-        *slot = if words[x >> 6] >> (x & 63) & 1 == 1 {
-            1.0
-        } else {
-            -1.0
-        };
-    }
-}
-
-/// `image_to_signed_into` — the packed path's ±1 convention (set bit →
-/// `1.0`, clear → `-1.0`), matching [`BitImage::to_signed_f32`].
+/// ±1 values of `image` into `out` — the packed path's convention
+/// (set bit → `1.0`, clear → `-1.0`), matching
+/// [`BitImage::to_signed_f32`].
 fn image_to_signed_into(image: &BitImage, out: &mut [f32]) {
-    let w = image.width();
-    for y in 0..image.height() {
-        row_to_signed(image, y, &mut out[y * w..(y + 1) * w]);
+    for (y, row) in out.chunks_mut(image.width()).enumerate() {
+        let words = image.row_words(y);
+        for (x, slot) in row.iter_mut().enumerate() {
+            *slot = if words[x >> 6] >> (x & 63) & 1 == 1 {
+                1.0
+            } else {
+                -1.0
+            };
+        }
     }
 }
 
@@ -802,160 +532,6 @@ pub fn merge_hits(
             .then_with(|| (a.y0, a.x0).cmp(&(b.y0, b.x0)))
     });
     regions
-}
-
-/// Folds an accumulator through the prefix layer structure: `conv` per
-/// packed conv (in execution order), `join` where a shortcut merges
-/// back into the main path.
-fn fold_prefix<T: Copy>(
-    model: &PackedBnn,
-    nblocks: usize,
-    init: T,
-    conv: impl Fn(T, &PackedConv) -> T,
-    join: impl Fn(T, T) -> T,
-) -> T {
-    let mut v = conv(init, model.stem());
-    for block in &model.blocks()[..nblocks] {
-        let block_in = v;
-        let main = conv(conv(v, block.conv1()), block.conv2());
-        let side = match block.shortcut() {
-            Some(sc) => conv(block_in, sc),
-            None => block_in,
-        };
-        v = join(main, side);
-    }
-    v
-}
-
-/// Derives the reuse split for `model` at this window size, or `None`
-/// when no band-reuse split applies (the scanner then runs naively).
-fn derive_reuse<'m>(
-    model: &'m PackedBnn,
-    window: usize,
-    backend: KernelBackend,
-) -> Option<Reuse<'m>> {
-    let blocks = model.blocks();
-    if blocks.is_empty() {
-        return None;
-    }
-    // Prefix = stem + leading blocks while the cumulative stride stays
-    // ≤ 2, always leaving at least one block for the suffix.
-    let mut f = model.stem().stride();
-    let mut nblocks = 0usize;
-    for (i, b) in blocks.iter().enumerate() {
-        if i + 1 >= blocks.len() {
-            break;
-        }
-        let bs = b.conv1().stride() * b.conv2().stride();
-        if f * bs <= 2 {
-            f *= bs;
-            nblocks = i + 1;
-        } else {
-            break;
-        }
-    }
-    if f > 2 || !window.is_multiple_of(f) {
-        return None;
-    }
-
-    // Horizontal geometry of the prefix on a full window.
-    let out_w = |w_in: usize| {
-        fold_prefix(
-            model,
-            nblocks,
-            w_in,
-            |w, c| c.output_hw(w, w).1,
-            |a, b| {
-                debug_assert_eq!(a, b, "shortcut width mismatch");
-                a
-            },
-        )
-    };
-    // Contamination from a cut edge: g' = ceil((g + p) / s) per conv,
-    // worst path through a merge.
-    let cut_growth = fold_prefix(
-        model,
-        nblocks,
-        0usize,
-        |g, c| (g + c.pad()).div_ceil(c.stride()),
-        |a, b| a.max(b),
-    );
-    // Valid columns anchored at a genuine edge, eroded by the opposite
-    // cut: v' = floor((v + p − k) / s) + 1, weakest path through a
-    // merge.
-    let valid = |w_in: usize| {
-        fold_prefix(
-            model,
-            nblocks,
-            w_in,
-            |v, c| {
-                if v + c.pad() >= c.kernel() {
-                    (v + c.pad() - c.kernel()) / c.stride() + 1
-                } else {
-                    0
-                }
-            },
-            |a, b| a.min(b),
-        )
-    };
-
-    let ow = out_w(window);
-    let oh = fold_prefix(
-        model,
-        nblocks,
-        window,
-        |h, c| c.output_hw(h, h).0,
-        |a, b| {
-            debug_assert_eq!(a, b);
-            a
-        },
-    );
-    let ring_l = cut_growth;
-    let ring_r = ow.saturating_sub(valid(window));
-    if ring_l + ring_r >= ow {
-        return None;
-    }
-
-    // Smallest strip (multiple of f) wide enough that its clean side
-    // yields the rings: the left strip needs `valid(S) ≥ ring_l`
-    // leading columns, the right strip needs `out_w(S) − cut_growth ≥
-    // ring_r` trailing ones.
-    let mut strip_cols = None;
-    let mut s = f;
-    while s <= window {
-        if valid(s) >= ring_l && out_w(s) >= cut_growth + ring_r {
-            strip_cols = Some(s);
-            break;
-        }
-        s += f;
-    }
-    let strip_cols = strip_cols?;
-    let strip_ow = out_w(strip_cols);
-    // Grid alignment: a strip output column j corresponds to window
-    // output column j + (window − S)/f.
-    if ow != strip_ow + (window - strip_cols) / f {
-        return None;
-    }
-
-    let strip_plan = ExecPlan::compile_segment(model, (window, strip_cols), backend, 1, 0..nblocks);
-    let suffix_plan = ExecPlan::compile_segment(model, (oh, ow), backend, 1, nblocks..blocks.len());
-    let (pc, soh, sow) = strip_plan.feature_shape();
-    debug_assert_eq!((soh, sow), (oh, strip_ow));
-    Some(Reuse {
-        info: ReuseInfo {
-            prefix_blocks: nblocks,
-            stride: f,
-            ring_left: ring_l,
-            ring_right: ring_r,
-            strip_cols,
-        },
-        pc,
-        oh,
-        ow,
-        strip_ow,
-        strip_plan,
-        suffix_plan,
-    })
 }
 
 #[cfg(test)]
@@ -1087,32 +663,6 @@ mod tests {
     }
 
     #[test]
-    fn paper_net_reuse_split_is_the_documented_one() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let net = BnnResNet::new(&NetConfig::paper_12layer(), &mut rng);
-        let packed = PackedBnn::compile(&net);
-        let sc = Scanner::new(&packed, 128, ScanConfig::new(64));
-        let info = sc.reuse_info().expect("paper net must support reuse");
-        assert_eq!(info.prefix_blocks, 2, "stem + res1 + res2");
-        assert_eq!(info.stride, 2);
-        assert_eq!(info.ring_left, 3);
-        assert_eq!(info.ring_right, 3);
-        assert_eq!(info.strip_cols, 12);
-    }
-
-    #[test]
-    fn tiny_net_reuse_split() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let net = BnnResNet::new(&NetConfig::tiny(16), &mut rng);
-        let packed = PackedBnn::compile(&net);
-        let sc = Scanner::new(&packed, 16, ScanConfig::new(8));
-        let info = sc.reuse_info().expect("tiny net must support reuse");
-        assert_eq!(info.prefix_blocks, 1, "stem + res1");
-        assert_eq!(info.stride, 1);
-        assert!(info.strip_cols >= info.ring_left);
-    }
-
-    #[test]
     fn scan_smoke_matches_naive_on_tiny_net() {
         let mut rng = StdRng::seed_from_u64(31);
         let net = BnnResNet::new(&NetConfig::tiny(16).with_levels(2), &mut rng);
@@ -1133,6 +683,5 @@ mod tests {
         let slow = sc.scan_naive(&img, &mut ws);
         assert_eq!(fast.verdicts, slow.verdicts, "bit-identical verdicts");
         assert_eq!(fast.regions, slow.regions);
-        assert!(fast.reused > 0, "reuse path must engage: {fast:?}");
     }
 }
