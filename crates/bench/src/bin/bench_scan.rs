@@ -1,29 +1,26 @@
 //! Full-chip scanning benchmark: generates a stitched chip with
 //! [`generate_chip`], sweeps it with the streaming [`Scanner`] in every
-//! mode, and writes `BENCH_scan.json` — windows/second for the
-//! prefix-reuse scanner against the naive crop-and-classify baselines,
-//! per stride.
+//! mode, and writes `BENCH_scan.json` — windows/second for the scanner
+//! against the naive crop-and-classify baselines, per stride.
 //!
 //! Modes:
 //!
 //! * `naive_full`    — crop every window, run the full M-level plan, no
-//!   cascade.  The honest "no scanner" baseline the reuse speedup is
-//!   measured against.
+//!   cascade.  The "no scanner" baseline: per-clip inference at the
+//!   paper's accuracy configuration.
 //! * `naive_cascade` — crop every window, triage then confirm (the
 //!   equivalence-test oracle).
-//! * `scan`          — prefix-reuse with duplicate-window caching (the
+//! * `scan`          — the cascade plus duplicate-window caching (the
 //!   production path).
-//! * `scan_nodedup`  — prefix-reuse alone, isolating the slab win from
-//!   the cache win.
 //!
 //! ```sh
 //! cargo run --release -p hotspot-bench --bin bench_scan -- [OUT.json] [--quick] [--check]
 //! ```
 //!
 //! `--quick` shrinks the chip and sweeps one stride (CI smoke);
-//! `--check` exits non-zero unless reuse beats `naive_full` by ≥ 2× at
-//! stride 64 (1.7× with `--quick`), comparing the medians of
-//! interleaved `naive_full`/`scan` passes.
+//! `--check` exits non-zero unless `scan` (cascade + dedup) beats
+//! `naive_full` by ≥ 2× at stride 64 (1.7× with `--quick`), comparing
+//! the medians of interleaved `naive_full`/`scan` passes.
 
 use hotspot_bench::median;
 use hotspot_bnn::{BnnResNet, NetConfig, PackedBnn, ScanConfig, ScanReport, Scanner};
@@ -53,7 +50,6 @@ struct Row {
     regions: usize,
     hotspots_per_mm2: f64,
     escalated: usize,
-    reused: usize,
     dedup_hits: usize,
 }
 
@@ -69,7 +65,7 @@ fn bench_mode(
         match mode {
             "naive_full" => scanner.scan_naive_full(&chip.image, ws),
             "naive_cascade" => scanner.scan_naive(&chip.image, ws),
-            "scan" | "scan_nodedup" => scanner.scan(&chip.image, ws),
+            "scan" => scanner.scan(&chip.image, ws),
             other => panic!("unknown mode {other}"),
         }
     };
@@ -91,7 +87,6 @@ fn bench_mode(
         regions: report.regions.len(),
         hotspots_per_mm2: report.regions.len() as f64 / area_mm2,
         escalated: report.escalated,
-        reused: report.reused,
         dedup_hits: report.dedup_hits,
     }
 }
@@ -157,30 +152,26 @@ fn main() {
     );
 
     let strides: &[usize] = if quick { &[64] } else { &[32, 64, 128] };
-    let modes: &[&'static str] = &["naive_full", "naive_cascade", "scan", "scan_nodedup"];
+    let modes: &[&'static str] = &["naive_full", "naive_cascade", "scan"];
     println!(
-        "{:>7} {:>14} {:>9} {:>13} {:>8} {:>7} {:>7} {:>7}",
-        "stride", "mode", "windows", "windows/s", "regions", "escal", "reused", "dedup"
+        "{:>7} {:>14} {:>9} {:>13} {:>8} {:>7} {:>7}",
+        "stride", "mode", "windows", "windows/s", "regions", "escal", "dedup"
     );
     let mut rows = Vec::new();
     for &stride in strides {
         for &mode in modes {
             let mut config = ScanConfig::new(stride);
             config.cascade_threshold = threshold;
-            if mode == "scan_nodedup" {
-                config.dedup = false;
-            }
             let scanner = Scanner::new(&model, window, config);
             let row = bench_mode(&scanner, &chip, mode, stride, area_mm2);
             println!(
-                "{:>7} {:>14} {:>9} {:>13.1} {:>8} {:>7} {:>7} {:>7}",
+                "{:>7} {:>14} {:>9} {:>13.1} {:>8} {:>7} {:>7}",
                 row.stride,
                 row.mode,
                 row.windows,
                 row.windows_per_sec,
                 row.regions,
                 row.escalated,
-                row.reused,
                 row.dedup_hits
             );
             rows.push(row);
@@ -211,7 +202,7 @@ fn main() {
             "    {{\"stride\": {}, \"mode\": \"{}\", \"windows\": {}, \
              \"windows_per_sec\": {:.1}, \"regions\": {}, \
              \"hotspots_per_mm2\": {:.3}, \"escalated\": {}, \
-             \"reused\": {}, \"dedup_hits\": {}}}{}",
+             \"dedup_hits\": {}}}{}",
             r.stride,
             r.mode,
             r.windows,
@@ -219,7 +210,6 @@ fn main() {
             r.regions,
             r.hotspots_per_mm2,
             r.escalated,
-            r.reused,
             r.dedup_hits,
             if i + 1 < rows.len() { "," } else { "" }
         );
@@ -239,28 +229,27 @@ fn main() {
         let scanner = Scanner::new(&model, window, config);
         let mut ws = Workspace::new();
         let naive = |ws: &mut Workspace| scanner.scan_naive_full(&chip.image, ws);
-        let reuse = |ws: &mut Workspace| scanner.scan(&chip.image, ws);
+        let scan = |ws: &mut Workspace| scanner.scan(&chip.image, ws);
         let time = |run: &dyn Fn(&mut Workspace) -> ScanReport, ws: &mut Workspace| {
             let start = Instant::now();
             run(ws);
             start.elapsed().as_secs_f64()
         };
         time(&naive, &mut ws); // warm-up
-        time(&reuse, &mut ws);
-        let (mut t_naive, mut t_reuse): (Vec<f64>, Vec<f64>) = (0..PAIRS)
-            .map(|_| (time(&naive, &mut ws), time(&reuse, &mut ws)))
+        time(&scan, &mut ws);
+        let (mut t_naive, mut t_scan): (Vec<f64>, Vec<f64>) = (0..PAIRS)
+            .map(|_| (time(&naive, &mut ws), time(&scan, &mut ws)))
             .unzip();
-        let speedup = median(&mut t_naive) / median(&mut t_reuse);
+        let speedup = median(&mut t_naive) / median(&mut t_scan);
         println!(
-            "stride-64 reuse speedup over naive_full: {speedup:.2}x \
+            "stride-64 scan (cascade + dedup) vs naive_full: {speedup:.2}x \
              (median of {PAIRS} interleaved pairs)"
         );
-        // The quick chip is too small to amortize the slab fully, so
-        // the CI smoke floor sits below the full-run acceptance gate.
+        // CI smoke (quick chip) and full-run floors.
         let floor = if quick { 1.7 } else { 2.0 };
         assert!(
             speedup >= floor,
-            "reuse speedup {speedup:.2}x below the {floor}x floor"
+            "scan (cascade + dedup) vs naive_full: {speedup:.2}x, below the {floor}x floor"
         );
     }
 }

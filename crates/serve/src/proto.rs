@@ -162,7 +162,8 @@ pub enum Request {
         id: u64,
     },
     /// Scan a full-chip raster for hotspot regions with the streaming
-    /// scanner (window-reuse + cascade + region merging).
+    /// scanner (crop → triage/confirm cascade → dedup → region
+    /// merging).
     Scan {
         /// Caller-chosen id echoed in the response.
         id: u64,

@@ -1297,7 +1297,6 @@ fn finish_scanned(shared: &Shared, mut job: Job, report: &ScanReport, degraded: 
             ("trace_id", trace::Value::from(job.rec.trace_id)),
             ("windows", trace::Value::from(report.windows)),
             ("regions", trace::Value::from(regions.len())),
-            ("reused", trace::Value::from(report.reused)),
             ("escalated", trace::Value::from(report.escalated)),
             ("degraded", trace::Value::from(degraded)),
         ],

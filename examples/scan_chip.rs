@@ -42,18 +42,14 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(2019);
     let model = PackedBnn::compile(&BnnResNet::new(&config, &mut rng));
     let scanner = Scanner::new(&model, config.input_size, ScanConfig::new(64));
-    println!(
-        "scanning (window {}, stride 64, prefix reuse {:?})...",
-        config.input_size,
-        scanner.reuse_info()
-    );
+    println!("scanning (window {}, stride 64)...", config.input_size);
     let mut ws = Workspace::new();
     let report = scanner.scan(&chip.image, &mut ws);
 
     // 3. Merged defect regions, best-scoring first.
     println!(
-        "  {} windows ({} slab-reused, {} duplicate crops), {} hot, {} escalated",
-        report.windows, report.reused, report.dedup_hits, report.hotspots, report.escalated
+        "  {} windows ({} duplicate crops), {} hot, {} escalated",
+        report.windows, report.dedup_hits, report.hotspots, report.escalated
     );
     println!("\ndefect regions:");
     for r in &report.regions {
