@@ -54,7 +54,7 @@ struct Row {
 }
 
 fn bench_mode(
-    scanner: &Scanner<'_>,
+    scanner: &Scanner,
     chip: &Chip,
     mode: &'static str,
     stride: usize,

@@ -38,6 +38,7 @@
 
 pub mod bitpack;
 pub mod block;
+pub mod cascade;
 pub mod hw;
 pub mod kernels;
 pub mod layer;
@@ -55,6 +56,7 @@ pub use bitpack::{
     SignRule,
 };
 pub use block::{BinaryResidualBlock, BnnBlock};
+pub use cascade::{Cascade, CascadeProfile};
 pub use hw::{dispatch_report, estimate_hardware, DispatchReport, HwConfig, HwEstimate};
 pub use kernels::{active_backend, gemm_backend, ConvGeometry, KernelBackend, PopcountGemm};
 pub use layer::BinConv2d;
@@ -68,6 +70,8 @@ pub use scaling::{
     input_scale_shared, output_scale_shared, output_scale_shared_into, residual_weight_levels,
     weight_scale, ScalingMode,
 };
-pub use scan::{merge_hits, scan_grid, Region, ScanConfig, ScanReport, Scanner, WindowVerdict};
+pub use scan::{
+    merge_hits, scan_chip, scan_grid, Region, ScanConfig, ScanReport, Scanner, WindowVerdict,
+};
 pub use slot::ModelSlot;
 pub use ste::{residual_binarize, sign_tensor, ste_grad};

@@ -916,20 +916,15 @@ impl PackedConv {
         assert_eq!(c, self.bn_scale.len(), "channel mismatch");
         let (oh, ow) = self.output_hw(h, w);
         let mut out = vec![0.0f32; n * self.alpha_w.len() * oh * ow];
+        let prep = self.prepare_with_backend(h, w, active_backend());
         let mut ws = global_pool().checkout();
-        self.forward_into(x.as_slice(), n, h, w, &mut ws, &mut out);
+        self.forward_prepped(&prep, x.as_slice(), n, &mut ws, &mut out);
         global_pool().restore(ws);
         Tensor::from_vec(&[n, self.alpha_w.len(), oh, ow], out)
     }
 
-    /// Builds the shape-derived [`ConvPrep`] for an `h × w` input,
-    /// dispatching to [`active_backend`].
-    pub fn prepare(&self, h: usize, w: usize) -> ConvPrep {
-        self.prepare_with_backend(h, w, active_backend())
-    }
-
-    /// [`PackedConv::prepare`] with an explicit kernel backend, running
-    /// all compiled-in residual levels.
+    /// Builds the shape-derived [`ConvPrep`] for an `h × w` input on
+    /// `backend`, running all compiled-in residual levels.
     pub fn prepare_with_backend(&self, h: usize, w: usize, backend: KernelBackend) -> ConvPrep {
         self.prepare_capped(h, w, backend, usize::MAX)
     }
@@ -980,32 +975,12 @@ impl PackedConv {
     }
 
     /// Runs the block on a raw NCHW slice into a caller-provided
-    /// `[n, k, oh, ow]` buffer (overwritten), with every intermediate —
-    /// packed sign words, integer popcount scratch, scale maps — drawn
-    /// from `ws`.  After one warm-up call with the same shapes,
-    /// subsequent calls perform no heap allocation.
-    ///
-    /// Builds a fresh [`ConvPrep`] per call; plan-driven callers build
-    /// it once and use [`PackedConv::forward_prepped`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when a slice length disagrees with the dimensions.
-    pub fn forward_into(
-        &self,
-        x: &[f32],
-        n: usize,
-        h: usize,
-        w: usize,
-        ws: &mut Workspace,
-        out: &mut [f32],
-    ) {
-        let prep = self.prepare(h, w);
-        self.forward_prepped(&prep, x, n, ws, out);
-    }
-
-    /// [`PackedConv::forward_into`] with precomputed shape-derived
-    /// state (the input resolution is fixed by `prep`).
+    /// `[n, k, oh, ow]` buffer (overwritten), with the shape-derived
+    /// state precomputed in `prep` (which fixes the input resolution)
+    /// and every intermediate — packed sign words, integer popcount
+    /// scratch, scale maps — drawn from `ws`.  After one warm-up call
+    /// with the same shapes, subsequent calls perform no heap
+    /// allocation.
     ///
     /// The batch-norm affine is fused into the binarize+pack pass, so
     /// no normalized f32 tensor is ever materialized: PlainSign packs
@@ -1226,57 +1201,6 @@ impl PackedResidual {
     /// Output channel count.
     pub fn out_channels(&self) -> usize {
         self.conv2.out_channels()
-    }
-
-    /// Runs the block.
-    pub fn forward(&self, x: &Tensor) -> Tensor {
-        let (n, _, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
-        let (oh, ow) = self.output_hw(h, w);
-        let ko = self.out_channels();
-        let mut out = vec![0.0f32; n * ko * oh * ow];
-        let mut ws = global_pool().checkout();
-        self.forward_into(x.as_slice(), n, h, w, &mut ws, &mut out);
-        global_pool().restore(ws);
-        Tensor::from_vec(&[n, ko, oh, ow], out)
-    }
-
-    /// Runs the block on a raw NCHW slice into a caller-provided
-    /// `[n, k, oh, ow]` buffer (overwritten), drawing every
-    /// intermediate activation from `ws`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a slice length disagrees with the dimensions.
-    pub fn forward_into(
-        &self,
-        x: &[f32],
-        n: usize,
-        h: usize,
-        w: usize,
-        ws: &mut Workspace,
-        out: &mut [f32],
-    ) {
-        let (h1, w1) = self.conv1.output_hw(h, w);
-        let mut mid = ws.take_f32(n * self.conv1.out_channels() * h1 * w1);
-        self.conv1.forward_into(x, n, h, w, ws, &mut mid);
-        self.conv2.forward_into(&mid, n, h1, w1, ws, out);
-        match &self.shortcut {
-            Some(s) => {
-                let mut short = ws.take_f32(out.len());
-                s.forward_into(x, n, h, w, ws, &mut short);
-                for (o, v) in out.iter_mut().zip(&short) {
-                    *o += v;
-                }
-                ws.give_f32(short);
-            }
-            None => {
-                assert_eq!(x.len(), out.len(), "identity shortcut shape mismatch");
-                for (o, v) in out.iter_mut().zip(x) {
-                    *o += v;
-                }
-            }
-        }
-        ws.give_f32(mid);
     }
 }
 

@@ -1,8 +1,7 @@
 //! An explicit, pre-compiled execution plan for packed inference.
 //!
-//! [`PackedBnn::forward`] walks the network structurally, deciding
-//! shapes and buffers as it goes.  An [`ExecPlan`] hoists all of that
-//! out of the hot path: [`PackedBnn::plan`] compiles the model, for one
+//! An [`ExecPlan`] hoists every shape and buffer decision out of the
+//! hot path: [`PackedBnn::plan`] compiles the model, for one
 //! input resolution, into a flat sequence of [`Step`]s with every
 //! output shape precomputed and activations assigned to three
 //! ping-pong buffers (a residual block needs at most three live
@@ -14,7 +13,8 @@
 //! `alloc_steady_state` and `alloc_batched` integration tests).
 //!
 //! There is one engine and one run path.  Every run splits its batch
-//! into working-set-sized chunks and every conv step of a chunk runs
+//! into working-set-sized chunks (the chunk size is fixed at compile
+//! from the plan's buffer sizes) and every conv step of a chunk runs
 //! [`PackedConv::forward_prepped`]: one bit-sliced XNOR-GEMM over every
 //! output pixel of all the chunk's clips, border pixels corrected
 //! exactly in its epilogue.  A single clip takes the same path as a full batch;
@@ -22,10 +22,13 @@
 //! [`ExecPlan::run_batch_into_profiled`] differ only in what they
 //! record.
 //!
-//! The plan borrows the model (`ExecPlan<'m>`) and is immutable after
-//! compilation, so one plan can be shared by many rayon workers, each
-//! running chunks of a batch with its own workspace — this is how
-//! `BnnDetector` shards large batches.
+//! The plan owns everything it runs — a copy of each conv with its
+//! prep, and the classifier head — so it outlives the model it was
+//! compiled from and can be held by long-lived state such as
+//! [`Cascade`](crate::Cascade).  It is immutable after compilation, so
+//! one plan can be shared by many rayon workers, each running chunks
+//! of a batch with its own workspace — this is how `BnnDetector`
+//! shards large batches.
 //!
 //! # Example
 //!
@@ -47,10 +50,14 @@
 
 use crate::kernels::{active_backend, KernelBackend};
 use crate::packed::{ConvPrep, PackedBnn, PackedConv};
-use hotspot_telemetry::{Clock, SlotProfiler};
+use hotspot_telemetry::SlotProfiler;
 use hotspot_tensor::workspace::Workspace;
 use hotspot_tensor::{global_avg_pool_into, Tensor};
-use std::sync::Arc;
+use std::marker::PhantomData;
+
+/// Working-set budget one chunk of a run may occupy (see
+/// [`ExecPlan`]'s `chunk`).
+const WORKING_SET_BUDGET: usize = 4 << 20;
 
 /// Where a step reads its activation from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,13 +70,14 @@ enum Src {
 
 /// One layer-execution step of a compiled plan.
 #[derive(Debug)]
-enum Step<'m> {
+enum Step {
     /// Run a packed conv from `src` into buffer `dst` (overwrites it).
-    /// `prep` carries the shape-derived state — geometry tables, fused
-    /// sign rules, kernel backend — precomputed at plan-compile time.
-    /// Boxed so the `Add` variant stays small.
+    /// The step owns a copy of the conv; `prep` carries the
+    /// shape-derived state — geometry tables, fused sign rules, kernel
+    /// backend — precomputed at plan-compile time.  Boxed so the `Add`
+    /// variant stays small.
     Conv {
-        conv: &'m PackedConv,
+        conv: Box<PackedConv>,
         prep: Box<ConvPrep>,
         src: Src,
         dst: usize,
@@ -87,13 +95,17 @@ enum Step<'m> {
 
 /// A [`PackedBnn`] compiled into a flat layer sequence for one input
 /// resolution (see module docs).
+///
+/// The plan owns its convs and classifier head and borrows nothing.
+/// The lifetime is a marker only: the repo benchmark (`perfbench/`)
+/// names the type as `ExecPlan<'_>`, so it stays until that code
+/// changes.  Long-lived holders use `ExecPlan<'static>`.
 #[derive(Debug)]
 pub struct ExecPlan<'m> {
-    model: &'m PackedBnn,
     backend: KernelBackend,
     input_c: usize,
     input_hw: (usize, usize),
-    steps: Vec<Step<'m>>,
+    steps: Vec<Step>,
     /// One profiling-slot name per step (same order as `steps`),
     /// matching [`crate::BnnResNet::summary`] naming: `stem`,
     /// `resN.conv1/.conv2/.shortcut`, plus `resN.add` for the merges.
@@ -104,29 +116,30 @@ pub struct ExecPlan<'m> {
     feat_c: usize,
     final_hw: (usize, usize),
     final_buf: usize,
+    /// Full-precision classifier `[classes, feat_c]` and bias.
+    fc_weight: Vec<f32>,
+    fc_bias: Vec<f32>,
+    /// Items per internal chunk of a run.  Running the whole batch
+    /// layer-by-layer scales the three ping-pong f32 buffers with `n`,
+    /// and past the last-level cache that costs more than GEMM tiling
+    /// wins — batch 16 of the paper's 128×128 net is a ~24 MB working
+    /// set.  So every run splits the batch into chunks sized to
+    /// [`WORKING_SET_BUDGET`], fixed at compile from the buffer sizes;
+    /// a chunk of even 3–4 items already fills the GEMM tiles of the
+    /// smallest late-layer feature maps.  Item order (and therefore
+    /// every output bit) is unchanged — items are independent.
+    chunk: usize,
+    _model: PhantomData<&'m PackedBnn>,
 }
 
 impl<'m> ExecPlan<'m> {
-    pub(crate) fn compile(model: &'m PackedBnn, input_hw: (usize, usize)) -> Self {
-        ExecPlan::compile_with_backend(model, input_hw, active_backend())
-    }
-
-    /// Compiles with an explicit kernel backend (all backends are
-    /// bit-identical; used by equivalence tests and benchmarks).
-    pub(crate) fn compile_with_backend(
-        model: &'m PackedBnn,
-        input_hw: (usize, usize),
-        backend: KernelBackend,
-    ) -> Self {
-        ExecPlan::compile_capped(model, input_hw, backend, usize::MAX)
-    }
-
-    /// Compiles with the executed residual level count capped at
-    /// `max_levels` (clamped per conv to `1..=M`).  The cascade's
-    /// triage stage uses this to run an M-level model in single-bit
-    /// mode without recompiling or duplicating it.
+    /// Compiles `model` for `input_hw` clips on `backend`, with the
+    /// executed residual level count capped at `max_levels` (clamped
+    /// per conv to `1..=M`; `usize::MAX` runs every level).  The
+    /// cascade's triage stage uses the cap to run an M-level model in
+    /// single-bit mode.
     pub(crate) fn compile_capped(
-        model: &'m PackedBnn,
+        model: &PackedBnn,
         input_hw: (usize, usize),
         backend: KernelBackend,
         max_levels: usize,
@@ -140,7 +153,7 @@ impl<'m> ExecPlan<'m> {
         let mut c = stem.out_channels();
         buf_elems[0] = c * h * w;
         steps.push(Step::Conv {
-            conv: stem,
+            conv: Box::new(stem.clone()),
             prep: Box::new(stem.prepare_capped(input_hw.0, input_hw.1, backend, max_levels)),
             src: Src::Input,
             dst: 0,
@@ -165,7 +178,7 @@ impl<'m> ExecPlan<'m> {
             let e1 = conv1.out_channels() * h1 * w1;
             buf_elems[b] = buf_elems[b].max(e1);
             steps.push(Step::Conv {
-                conv: conv1,
+                conv: Box::new(conv1.clone()),
                 prep: Box::new(conv1.prepare_capped(h, w, backend, max_levels)),
                 src: Src::Buf(a),
                 dst: b,
@@ -178,7 +191,7 @@ impl<'m> ExecPlan<'m> {
             let e2 = conv2.out_channels() * h2 * w2;
             buf_elems[d] = buf_elems[d].max(e2);
             steps.push(Step::Conv {
-                conv: conv2,
+                conv: Box::new(conv2.clone()),
                 prep: Box::new(conv2.prepare_capped(h1, w1, backend, max_levels)),
                 src: Src::Buf(b),
                 dst: d,
@@ -193,7 +206,7 @@ impl<'m> ExecPlan<'m> {
                     assert_eq!(es, e2, "projection shortcut shape mismatch");
                     buf_elems[b] = buf_elems[b].max(es);
                     steps.push(Step::Conv {
-                        conv: sc,
+                        conv: Box::new(sc.clone()),
                         prep: Box::new(sc.prepare_capped(h, w, backend, max_levels)),
                         src: Src::Buf(a),
                         dst: b,
@@ -224,10 +237,12 @@ impl<'m> ExecPlan<'m> {
             w = w2;
         }
 
+        let input_c = stem.in_channels();
+        let per_item = (buf_elems.iter().sum::<usize>() + input_c * input_hw.0 * input_hw.1)
+            * size_of::<f32>();
         ExecPlan {
-            model,
             backend,
-            input_c: stem.in_channels(),
+            input_c,
             input_hw,
             steps,
             step_names,
@@ -235,12 +250,11 @@ impl<'m> ExecPlan<'m> {
             feat_c: c,
             final_hw: (h, w),
             final_buf: cur,
+            fc_weight: model.fc_weight().as_slice().to_vec(),
+            fc_bias: model.fc_bias().as_slice().to_vec(),
+            chunk: (WORKING_SET_BUDGET / per_item.max(1)).clamp(2, 64),
+            _model: PhantomData,
         }
-    }
-
-    /// The input resolution this plan was compiled for.
-    pub fn input_hw(&self) -> (usize, usize) {
-        self.input_hw
     }
 
     /// The kernel backend every conv step of this plan dispatches to.
@@ -290,12 +304,6 @@ impl<'m> ExecPlan<'m> {
         SlotProfiler::new(self.slot_names())
     }
 
-    /// Like [`profiler`](ExecPlan::profiler) with an explicit clock
-    /// (deterministic tests).
-    pub fn profiler_with_clock(&self, clock: Arc<dyn Clock>) -> SlotProfiler {
-        SlotProfiler::with_clock(self.slot_names(), clock)
-    }
-
     /// Runs the plan on a `[n, c, h, w]` input slice (`±1` values,
     /// `c`/`h`/`w` as compiled), writing `[n, classes]` logits into
     /// `logits`.
@@ -312,7 +320,7 @@ impl<'m> ExecPlan<'m> {
     ///
     /// Panics when a slice length disagrees with the compiled shapes.
     pub fn run_into(&self, input: &[f32], n: usize, ws: &mut Workspace, logits: &mut [f32]) {
-        self.run_impl(input, n, ws, logits, None);
+        self.run_with(input, n, ws, logits, None);
     }
 
     /// The same call as [`run_into`](ExecPlan::run_into), under the
@@ -322,7 +330,7 @@ impl<'m> ExecPlan<'m> {
     ///
     /// Panics when a slice length disagrees with the compiled shapes.
     pub fn run_batch_into(&self, input: &[f32], n: usize, ws: &mut Workspace, logits: &mut [f32]) {
-        self.run_impl(input, n, ws, logits, None);
+        self.run_with(input, n, ws, logits, None);
     }
 
     /// [`run_into`](ExecPlan::run_into) with per-layer timing: each
@@ -346,41 +354,13 @@ impl<'m> ExecPlan<'m> {
         logits: &mut [f32],
         prof: &mut SlotProfiler,
     ) {
-        assert_eq!(
-            prof.slot_count(),
-            self.steps.len() + 2,
-            "profiler was built for a different plan"
-        );
-        self.run_impl(input, n, ws, logits, Some(prof));
+        self.run_with(input, n, ws, logits, Some(prof));
     }
 
-    /// Items per internal chunk of a run.  Running the whole batch
-    /// layer-by-layer scales the three ping-pong f32 buffers with `n`,
-    /// and past the last-level cache that costs more than GEMM tiling
-    /// wins — batch 16 of the paper's 128×128 net is a ~24 MB working
-    /// set.  So every run splits the batch into chunks sized to a fixed
-    /// working-set budget; a chunk of even 3–4 items already fills the
-    /// GEMM tiles of the smallest late-layer feature maps.  Item order
-    /// (and therefore every output bit) is unchanged — items are
-    /// independent.
-    fn batch_chunk(&self) -> usize {
-        static OVERRIDE: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
-        if let Some(c) = OVERRIDE.get_or_init(|| {
-            std::env::var("HOTSPOT_BATCH_CHUNK")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .filter(|&c: &usize| c >= 2)
-        }) {
-            return *c;
-        }
-        const WORKING_SET_BUDGET: usize = 4 << 20;
-        let (h, w) = self.input_hw;
-        let per_item =
-            (self.buf_elems.iter().sum::<usize>() + self.input_c * h * w) * size_of::<f32>();
-        (WORKING_SET_BUDGET / per_item.max(1)).clamp(2, 64)
-    }
-
-    fn run_impl(
+    /// The one run path behind every entry point: checks the slice
+    /// lengths (and the profiler's shape, when given), then runs the
+    /// batch chunk by chunk.
+    pub(crate) fn run_with(
         &self,
         input: &[f32],
         n: usize,
@@ -391,18 +371,24 @@ impl<'m> ExecPlan<'m> {
         let (h, w) = self.input_hw;
         let item = self.input_c * h * w;
         assert_eq!(input.len(), n * item, "input length mismatch");
-        let classes = self.model.fc_weight().shape()[0];
+        let classes = self.fc_bias.len();
         assert_eq!(logits.len(), n * classes, "logits length mismatch");
-        let chunk = self.batch_chunk();
+        if let Some(p) = &prof {
+            assert_eq!(
+                p.slot_count(),
+                self.steps.len() + 2,
+                "profiler was built for a different plan"
+            );
+        }
         for (inp, lg) in input
-            .chunks(chunk * item)
-            .zip(logits.chunks_mut(chunk * classes))
+            .chunks(self.chunk * item)
+            .zip(logits.chunks_mut(self.chunk * classes))
         {
             self.run_chunk(inp, inp.len() / item, ws, lg, prof.as_deref_mut());
         }
     }
 
-    /// One chunk of [`run_impl`](ExecPlan::run_impl): the layer steps,
+    /// One chunk of [`run_with`](ExecPlan::run_with): the layer steps,
     /// then global average pooling and the classifier.
     fn run_chunk(
         &self,
@@ -412,7 +398,7 @@ impl<'m> ExecPlan<'m> {
         logits: &mut [f32],
         mut prof: Option<&mut SlotProfiler>,
     ) {
-        let classes = self.model.fc_weight().shape()[0];
+        let classes = self.fc_bias.len();
         let mut bufs = self.buf_elems.map(|e| ws.take_f32(n * e));
         self.exec_steps(input, n, ws, &mut bufs, &mut prof);
 
@@ -434,8 +420,7 @@ impl<'m> ExecPlan<'m> {
             p.record_since(gap_slot, t);
         }
         let t0 = prof.as_ref().map(|p| p.begin());
-        let fcw = self.model.fc_weight().as_slice();
-        let fcb = self.model.fc_bias().as_slice();
+        let (fcw, fcb) = (&self.fc_weight, &self.fc_bias);
         let inp = self.feat_c;
         for ni in 0..n {
             for oi in 0..classes {
@@ -527,7 +512,7 @@ impl<'m> ExecPlan<'m> {
             self.input_hw,
             "plan compiled for a different input resolution"
         );
-        let classes = self.model.fc_weight().shape()[0];
+        let classes = self.fc_bias.len();
         let mut logits = vec![0.0f32; n * classes];
         self.run_into(x.as_slice(), n, ws, &mut logits);
         Tensor::from_vec(&[n, classes], logits)
@@ -552,7 +537,7 @@ impl PackedBnn {
     /// kernel backend for this CPU (see
     /// [`active_backend`](crate::kernels::active_backend)).
     pub fn plan(&self, input_hw: (usize, usize)) -> ExecPlan<'_> {
-        ExecPlan::compile(self, input_hw)
+        ExecPlan::compile_capped(self, input_hw, active_backend(), usize::MAX)
     }
 
     /// [`PackedBnn::plan`] pinned to an explicit kernel backend (all
@@ -563,7 +548,7 @@ impl PackedBnn {
         input_hw: (usize, usize),
         backend: KernelBackend,
     ) -> ExecPlan<'_> {
-        ExecPlan::compile_with_backend(self, input_hw, backend)
+        ExecPlan::compile_capped(self, input_hw, backend, usize::MAX)
     }
 
     /// [`PackedBnn::plan`] with the executed residual level count

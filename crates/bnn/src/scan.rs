@@ -9,19 +9,23 @@
 //!
 //! # Scoring
 //!
-//! Every window is scored as a clip.  The scanner crops it — zero-extended
-//! past the chip edge, exactly the content per-clip inference would see —
-//! and runs one window row's crops through the M = 1 triage plan in
-//! batches.  Crops whose `|margin| < cascade_threshold` are re-scored by
-//! the full-M confirm plan, the serving cascade's contract.  With
-//! [`ScanConfig::dedup`] on, a crop identical to an earlier window's
-//! (blank regions, repeated cells) is not scored again: a content-keyed
-//! cache hands it that window's verdict.  Inference is deterministic in
-//! the window bits, so [`Scanner::scan`] is **bit-identical** to
-//! [`Scanner::scan_naive`], the same path without the cache; the
-//! `scan_equivalence` proptest enforces this across strides, backends,
-//! and M-levels, and `tests/golden.rs` pins one scan's verdicts across
-//! revisions.
+//! Every window is scored as a clip.  [`scan_chip`] crops it —
+//! zero-extended past the chip edge, exactly the content per-clip
+//! inference would see — and runs one window row's crops through a
+//! compiled [`Cascade`] in batches: the M = 1 triage plan scores every
+//! crop, and crops whose `|margin| < cascade_threshold` are re-scored by
+//! the full-M confirm plan.  With [`ScanConfig::dedup`] on, a crop
+//! identical to an earlier window's (blank regions, repeated cells) is
+//! not scored again: a content-keyed cache hands it that window's
+//! verdict.  Inference is deterministic in the window bits, so
+//! [`Scanner::scan`] is **bit-identical** to [`Scanner::scan_naive`],
+//! the same path without the cache; the `scan_equivalence` proptest
+//! enforces this across strides, backends, and M-levels, and
+//! `tests/golden.rs` pins one scan's verdicts across revisions.
+//!
+//! The server scans with the cascade its model slot publishes, so a
+//! scan request compiles nothing; [`Scanner`] is that cascade plus a
+//! [`ScanConfig`], for callers that hold one model.
 //!
 //! # Region merging
 //!
@@ -31,14 +35,14 @@
 //! a union bounding box, the max window margin as its score, and the
 //! best-scoring window origin as its peak.  See [`merge_hits`].
 
+use crate::cascade::Cascade;
 use crate::kernels::{active_backend, KernelBackend};
 use crate::packed::PackedBnn;
-use crate::plan::ExecPlan;
 use hotspot_geometry::BitImage;
 use hotspot_tensor::workspace::Workspace;
 use std::collections::HashMap;
 
-/// Windows scored per plan invocation.
+/// Windows scored per cascade run.
 const BATCH: usize = 32;
 
 /// Scanner knobs; `stride` is the only mandatory choice.
@@ -148,20 +152,15 @@ pub struct ScanReport {
     pub dedup_hits: usize,
 }
 
-/// A compiled full-chip scanner for one model, window size, and
-/// configuration (see module docs).
+/// A compiled full-chip scanner: one model's [`Cascade`] for the
+/// window size, plus the scan configuration (see module docs).
 #[derive(Debug)]
-pub struct Scanner<'m> {
-    backend: KernelBackend,
-    window: usize,
+pub struct Scanner {
+    cascade: Cascade,
     config: ScanConfig,
-    /// Whole net on a window, M = 1 (the cascade's first stage).
-    triage: ExecPlan<'m>,
-    /// Whole net on a window, full M (confirm / naive-full baseline).
-    confirm: ExecPlan<'m>,
 }
 
-impl<'m> Scanner<'m> {
+impl Scanner {
     /// Builds a scanner with the process-wide kernel backend.
     ///
     /// # Panics
@@ -169,46 +168,23 @@ impl<'m> Scanner<'m> {
     /// Panics when the model is not single-channel or has other than
     /// two classes, `window` or `config.stride` is zero, or
     /// `config.cascade_threshold` is negative/NaN.
-    pub fn new(model: &'m PackedBnn, window: usize, config: ScanConfig) -> Self {
+    pub fn new(model: &PackedBnn, window: usize, config: ScanConfig) -> Self {
         Scanner::with_backend(model, window, config, active_backend())
     }
 
     /// [`Scanner::new`] pinned to an explicit kernel backend (all
     /// backends are bit-identical; used by the equivalence tests).
     pub fn with_backend(
-        model: &'m PackedBnn,
+        model: &PackedBnn,
         window: usize,
         config: ScanConfig,
         backend: KernelBackend,
     ) -> Self {
-        assert!(window > 0, "window must be positive");
-        assert!(config.stride > 0, "stride must be positive");
-        assert!(
-            config.cascade_threshold >= 0.0,
-            "cascade threshold must be non-negative"
-        );
-        assert_eq!(
-            model.stem().in_channels(),
-            1,
-            "the scanner feeds single-channel layout windows"
-        );
-        assert_eq!(
-            model.fc_weight().shape()[0],
-            2,
-            "the cascade expects binary logits"
-        );
+        check_config(&config);
         Scanner {
-            backend,
-            window,
+            cascade: Cascade::with_backend(model, window, backend),
             config,
-            triage: ExecPlan::compile_capped(model, (window, window), backend, 1),
-            confirm: ExecPlan::compile_capped(model, (window, window), backend, usize::MAX),
         }
-    }
-
-    /// The window side this scanner slides.
-    pub fn window(&self) -> usize {
-        self.window
     }
 
     /// The configuration the scanner was built with.
@@ -216,147 +192,163 @@ impl<'m> Scanner<'m> {
         self.config
     }
 
-    /// The kernel backend every plan dispatches to.
-    pub fn backend(&self) -> KernelBackend {
-        self.backend
-    }
-
     /// Scans a chip through the cascade, with the dedup cache when
     /// [`ScanConfig::dedup`] is on (see module docs).  Verdicts and
     /// regions are bit-identical to [`scan_naive`](Scanner::scan_naive).
     pub fn scan(&self, image: &BitImage, ws: &mut Workspace) -> ScanReport {
-        self.scan_impl(image, ws, &self.triage, self.config.dedup)
+        scan_chip(&self.cascade, &self.config, image, ws)
     }
 
     /// Reference scanner: crops every window and runs the per-clip
     /// cascade, no dedup.  The equivalence oracle.
     pub fn scan_naive(&self, image: &BitImage, ws: &mut Workspace) -> ScanReport {
-        self.scan_impl(image, ws, &self.triage, false)
+        let mut config = self.config;
+        config.dedup = false;
+        scan_chip(&self.cascade, &config, image, ws)
     }
 
     /// Baseline scanner for benchmarks: crops every window and runs
     /// the *full M-level* model on each — per-clip inference without
     /// even the cascade's triage shortcut.
     pub fn scan_naive_full(&self, image: &BitImage, ws: &mut Workspace) -> ScanReport {
-        self.scan_impl(image, ws, &self.confirm, false)
+        let mut config = self.config;
+        config.dedup = false;
+        scan_impl(&self.cascade, &config, image, ws, true)
     }
+}
 
-    /// Scores every window with `plan` through [`score`](Self::score),
-    /// one grid row of crops at a time.  With `dedup`, a crop identical
-    /// to an earlier window's is not scored again but shares its result.
-    fn scan_impl(
-        &self,
-        image: &BitImage,
-        ws: &mut Workspace,
-        plan: &ExecPlan<'m>,
-        dedup: bool,
-    ) -> ScanReport {
-        let side = self.window;
-        let stride = self.config.stride;
-        let (cw, chh) = (image.width(), image.height());
-        let xs = scan_grid(cw, side, stride);
-        let ys = scan_grid(chh, side, stride);
-        let mut verdicts = Vec::with_capacity(xs.len() * ys.len());
-        // `(margin, escalated)` of every scored crop; `cache` maps crop
-        // content to its index here (and stays empty without dedup).
-        let mut results: Vec<(f32, bool)> = Vec::new();
-        let mut cache: HashMap<Vec<u64>, usize> = HashMap::new();
-        let mut dedup_hits = 0usize;
+/// Scans a chip with an already-compiled `cascade`, whose clip side is
+/// the window (see module docs).  [`ScanConfig::triage_only`] runs the
+/// cascade at threshold 0.
+///
+/// # Panics
+///
+/// Panics when `config.stride` is zero or `config.cascade_threshold`
+/// is negative/NaN.
+pub fn scan_chip(
+    cascade: &Cascade,
+    config: &ScanConfig,
+    image: &BitImage,
+    ws: &mut Workspace,
+) -> ScanReport {
+    scan_impl(cascade, config, image, ws, false)
+}
 
-        for &y in &ys {
-            let mut crops = Vec::new();
-            let ids: Vec<usize> = xs
-                .iter()
-                .map(|&x| {
-                    let crop = crop_window(image, x, y, side);
-                    if let Some(&id) = cache.get(crop.as_words()) {
-                        dedup_hits += 1;
-                        return id;
-                    }
-                    let id = results.len() + crops.len();
-                    if dedup {
-                        cache.insert(crop.as_words().to_vec(), id);
-                    }
-                    crops.push(crop);
-                    id
-                })
-                .collect();
-            results.extend(self.score(plan, &crops, ws));
-            for (&x, id) in xs.iter().zip(ids) {
-                let (margin, escalated) = results[id];
-                verdicts.push(WindowVerdict {
-                    x,
-                    y,
-                    hotspot: margin >= 0.0,
-                    margin,
-                    escalated,
-                });
-            }
-        }
+fn check_config(config: &ScanConfig) {
+    assert!(config.stride > 0, "stride must be positive");
+    assert!(
+        config.cascade_threshold >= 0.0,
+        "cascade threshold must be non-negative"
+    );
+}
 
-        let regions = merge_hits(&verdicts, side, cw, chh);
-        ScanReport {
-            chip: (cw, chh),
-            window: side,
-            stride,
-            windows: verdicts.len(),
-            hotspots: verdicts.iter().filter(|v| v.hotspot).count(),
-            escalated: verdicts.iter().filter(|v| v.escalated).count(),
-            reused: 0,
-            fallback: results.len(),
-            dedup_hits,
-            verdicts,
-            regions,
-        }
-    }
+/// Scores every window through [`score`], one grid row of crops at a
+/// time: with `full`, by the confirm plan alone (the `naive_full`
+/// baseline), otherwise through the cascade.
+fn scan_impl(
+    cascade: &Cascade,
+    config: &ScanConfig,
+    image: &BitImage,
+    ws: &mut Workspace,
+    full: bool,
+) -> ScanReport {
+    check_config(config);
+    let side = cascade.side();
+    let stride = config.stride;
+    let threshold = if config.triage_only {
+        0.0
+    } else {
+        config.cascade_threshold
+    };
+    let (cw, chh) = (image.width(), image.height());
+    let xs = scan_grid(cw, side, stride);
+    let ys = scan_grid(chh, side, stride);
+    let mut verdicts = Vec::with_capacity(xs.len() * ys.len());
+    // `(margin, escalated)` of every scored crop; `cache` maps crop
+    // content to its index here (and stays empty without dedup).
+    let mut results: Vec<(f32, bool)> = Vec::new();
+    let mut cache: HashMap<Vec<u64>, usize> = HashMap::new();
+    let mut dedup_hits = 0usize;
 
-    /// `(margin, escalated)` for each crop: its margin under `plan`,
-    /// re-scored by the confirm plan when `plan` runs fewer residual
-    /// levels and `|margin| < cascade_threshold` — the serving
-    /// cascade's contract.
-    fn score(
-        &self,
-        plan: &ExecPlan<'m>,
-        crops: &[BitImage],
-        ws: &mut Workspace,
-    ) -> Vec<(f32, bool)> {
-        let all: Vec<&BitImage> = crops.iter().collect();
-        let mut scored: Vec<(f32, bool)> = self
-            .margins(plan, &all, ws)
-            .into_iter()
-            .map(|m| (m, false))
+    for &y in &ys {
+        let mut crops = Vec::new();
+        let ids: Vec<usize> = xs
+            .iter()
+            .map(|&x| {
+                let crop = crop_window(image, x, y, side);
+                if let Some(&id) = cache.get(crop.as_words()) {
+                    dedup_hits += 1;
+                    return id;
+                }
+                let id = results.len() + crops.len();
+                if config.dedup {
+                    cache.insert(crop.as_words().to_vec(), id);
+                }
+                crops.push(crop);
+                id
+            })
             .collect();
-        if self.config.triage_only || plan.levels() >= self.confirm.levels() {
-            return scored;
+        score(cascade, full, threshold, &crops, ws, &mut results);
+        for (&x, id) in xs.iter().zip(ids) {
+            let (margin, escalated) = results[id];
+            verdicts.push(WindowVerdict {
+                x,
+                y,
+                hotspot: margin >= 0.0,
+                margin,
+                escalated,
+            });
         }
-        let esc: Vec<usize> = (0..crops.len())
-            .filter(|&i| scored[i].0.abs() < self.config.cascade_threshold)
-            .collect();
-        let confirm: Vec<&BitImage> = esc.iter().map(|&i| &crops[i]).collect();
-        for (&i, m) in esc.iter().zip(self.margins(&self.confirm, &confirm, ws)) {
-            scored[i] = (m, true);
-        }
-        scored
     }
 
-    /// Logit margins (hotspot − non-hotspot) of `crops` under `plan`,
-    /// scored in batches.
-    fn margins(&self, plan: &ExecPlan<'_>, crops: &[&BitImage], ws: &mut Workspace) -> Vec<f32> {
-        let item = self.window * self.window;
-        let mut out = Vec::with_capacity(crops.len());
-        for chunk in crops.chunks(BATCH) {
-            let n = chunk.len();
-            let mut input = ws.take_f32(n * item);
-            for (crop, dst) in chunk.iter().zip(input.chunks_mut(item)) {
-                image_to_signed_into(crop, dst);
-            }
+    let regions = merge_hits(&verdicts, side, cw, chh);
+    ScanReport {
+        chip: (cw, chh),
+        window: side,
+        stride,
+        windows: verdicts.len(),
+        hotspots: verdicts.iter().filter(|v| v.hotspot).count(),
+        escalated: verdicts.iter().filter(|v| v.escalated).count(),
+        reused: 0,
+        fallback: results.len(),
+        dedup_hits,
+        verdicts,
+        regions,
+    }
+}
+
+/// Appends `(margin, escalated)` for each crop to `out`, scoring the
+/// crops in batches of [`BATCH`]: through [`Cascade::run`], or with
+/// `full` through the confirm plan alone (nothing escalates).
+fn score(
+    cascade: &Cascade,
+    full: bool,
+    threshold: f32,
+    crops: &[BitImage],
+    ws: &mut Workspace,
+    out: &mut Vec<(f32, bool)>,
+) {
+    let item = cascade.side() * cascade.side();
+    for chunk in crops.chunks(BATCH) {
+        let n = chunk.len();
+        let mut input = ws.take_f32(n * item);
+        for (crop, dst) in chunk.iter().zip(input.chunks_mut(item)) {
+            image_to_signed_into(crop, dst);
+        }
+        let start = out.len();
+        out.resize(start + n, (0.0, false));
+        let scored = &mut out[start..];
+        if full {
             let mut logits = ws.take_f32(n * 2);
-            plan.run_batch_into(&input, n, ws, &mut logits);
-            out.extend(logits.chunks(2).map(|l| l[1] - l[0]));
-            ws.give_f32(input);
+            cascade.confirm().run_batch_into(&input, n, ws, &mut logits);
+            for (s, l) in scored.iter_mut().zip(logits.chunks(2)) {
+                s.0 = l[1] - l[0];
+            }
             ws.give_f32(logits);
+        } else {
+            cascade.run(&input, threshold, ws, scored, None);
         }
-        out
+        ws.give_f32(input);
     }
 }
 

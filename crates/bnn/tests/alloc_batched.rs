@@ -1,4 +1,5 @@
-//! Allocation regression test for the XNOR-GEMM conv engine.
+//! Allocation regression test for the XNOR-GEMM conv engine and the
+//! cascade that serves it.
 //!
 //! Same contract as `alloc_steady_state.rs`, for the GEMM engine at
 //! every batch size: after one warm-up, `ExecPlan::run_into`,
@@ -10,12 +11,16 @@
 //! splits into unequal chunks (a 1-item remainder) is the likeliest to
 //! re-grow a pooled buffer, so the serving shapes — the paper net at
 //! M = 3, triage-capped and full, one clip and three — are pinned here.
+//! So is `Cascade::run` on that net, the call every served batch and
+//! scan row makes: its triage logits and its confirm batch come from
+//! the workspace too, at n ∈ {1, 3, 16}, with a threshold that
+//! escalates some clips and with threshold 0.
 //!
 //! The file intentionally holds a single `#[test]`: the counter is
 //! process-global, and a sibling test allocating on another thread
 //! while the measured window is open would produce false positives.
 
-use hotspot_bnn::{BnnResNet, NetConfig, PackedBnn};
+use hotspot_bnn::{BnnResNet, Cascade, NetConfig, PackedBnn};
 use hotspot_telemetry::SlotProfiler;
 use hotspot_tensor::Workspace;
 use rand::rngs::StdRng;
@@ -168,5 +173,37 @@ fn warm_batched_forward_performs_zero_heap_allocations() {
         );
         assert_eq!(profiled, three, "{name} plan: profiling changed the math");
         assert_eq!(single[..], three[..2], "{name} plan: batch changed clip 0");
+    }
+
+    // The cascade on the same net.  The mid-band threshold lies between
+    // the 8th and 9th smallest |triage margin| of 16 clips, so a full
+    // batch escalates some clips but not all.
+    let cascade = Cascade::new(&paper, side);
+    let input = pm1(16 * side * side, 0xca5c);
+    let mut ws = Workspace::new();
+    let mut scored = [(0.0f32, false); 16];
+    cascade.run(&input, 0.0, &mut ws, &mut scored, None);
+    let mut abs: Vec<f32> = scored.iter().map(|s| s.0.abs()).collect();
+    abs.sort_by(f32::total_cmp);
+    let mid = (abs[7] + abs[8]) / 2.0;
+    for threshold in [mid, 0.0] {
+        for n in [1, 3, 16] {
+            let (x, out) = (&input[..n * side * side], &mut scored[..n]);
+            cascade.run(x, threshold, &mut ws, out, None); // warm-up
+            let allocs = count_allocs(|| cascade.run(x, threshold, &mut ws, out, None));
+            assert_eq!(
+                allocs, 0,
+                "warm cascade run allocated {allocs} time(s) at n = {n}, threshold {threshold}"
+            );
+        }
+        let escalated = scored.iter().filter(|s| s.1).count();
+        if threshold == 0.0 {
+            assert_eq!(escalated, 0, "threshold 0 must not escalate");
+        } else {
+            assert!(
+                escalated > 0 && escalated < 16,
+                "the mid-band threshold escalated {escalated} of 16 clips"
+            );
+        }
     }
 }

@@ -3,7 +3,7 @@
 use hotspot_bnn::{
     exact_sign_rule, input_scale_per_channel, output_scale_shared, sign_tensor, ste_grad,
     weight_scale, xnor_conv2d, xnor_conv2d_backend, BinaryResidualBlock, BitFilter, BitTensor,
-    BnnResNet, KernelBackend, NetConfig, PackedBnn, PackedConv, ScalingMode,
+    BnnResNet, Cascade, KernelBackend, NetConfig, PackedBnn, PackedConv, ScalingMode,
 };
 use hotspot_nn::Layer;
 use hotspot_tensor::{conv2d, global_avg_pool_into, Tensor, Workspace};
@@ -296,6 +296,69 @@ proptest! {
                 &capped, &expect,
                 "capped M=2 model diverged from M=1 on {} ({:?})", backend.name(), mode
             );
+        }
+    }
+
+    /// `Cascade::run` is the two plans run separately: on every
+    /// compiled-in kernel backend, with random clips and a mid-band
+    /// threshold (between the two middle |triage margins|), each margin
+    /// is bit-for-bit the triage plan's outside the `|m| < threshold`
+    /// band and the confirm plan's inside it, and `escalated` marks
+    /// exactly the band.  An M = 1 model or threshold 0 never
+    /// escalates, and a profiled run changes no bit.
+    #[test]
+    fn plan_cascade_matches_two_plans(
+        seed in 0u64..12,
+        n in 2usize..9,
+        levels in 1usize..4,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let net = BnnResNet::new(&NetConfig::tiny(16).with_levels(levels), &mut rng);
+        let packed = PackedBnn::compile(&net);
+        let mut state = seed as u32 ^ 0xca5c_ade0;
+        let input: Vec<f32> = (0..n * 16 * 16).map(|_| {
+            state = state.wrapping_mul(1664525).wrapping_add(1013904223);
+            if state & 0x8000 == 0 { 1.0 } else { -1.0 }
+        }).collect();
+        let margins = |plan: &hotspot_bnn::ExecPlan<'_>| -> Vec<f32> {
+            let mut logits = vec![0.0f32; n * 2];
+            plan.run_into(&input, n, &mut Workspace::new(), &mut logits);
+            logits.chunks(2).map(|l| l[1] - l[0]).collect()
+        };
+        for backend in KernelBackend::available() {
+            let triage = margins(&packed.plan_capped_with_backend((16, 16), backend, 1));
+            let confirm = margins(&packed.plan_with_backend((16, 16), backend));
+            let mut abs: Vec<f32> = triage.iter().map(|m| m.abs()).collect();
+            abs.sort_by(f32::total_cmp);
+            let mid = (abs[n / 2 - 1] + abs[n / 2]) / 2.0;
+            let cascade = Cascade::with_backend(&packed, 16, backend);
+            let mut ws = Workspace::new();
+            for threshold in [mid, 0.0] {
+                let mut out = vec![(0.0f32, false); n];
+                cascade.run(&input, threshold, &mut ws, &mut out, None);
+                for (i, &(margin, escalated)) in out.iter().enumerate() {
+                    let band = levels > 1 && triage[i].abs() < threshold;
+                    prop_assert_eq!(
+                        escalated, band,
+                        "clip {} escalation on {} at threshold {}", i, backend.name(), threshold
+                    );
+                    let want = if band { confirm[i] } else { triage[i] };
+                    prop_assert_eq!(
+                        margin.to_bits(), want.to_bits(),
+                        "clip {} margin on {} at threshold {}", i, backend.name(), threshold
+                    );
+                }
+                let mut prof = cascade.profiler();
+                let mut profiled = vec![(0.0f32, false); n];
+                cascade.run(&input, threshold, &mut ws, &mut profiled, Some(&mut prof));
+                prop_assert_eq!(&profiled, &out, "profiling changed the cascade");
+                let escalated = out.iter().filter(|o| o.1).count();
+                if levels == 1 || threshold == 0.0 {
+                    prop_assert_eq!(escalated, 0);
+                } else if abs[n / 2 - 1] < mid && mid < abs[n / 2] {
+                    prop_assert!(escalated > 0 && escalated < n, "{} of {} escalated", escalated, n);
+                }
+            }
         }
     }
 

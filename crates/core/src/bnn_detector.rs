@@ -7,7 +7,7 @@ use crate::checkpoint::{
 };
 use crate::detector::HotspotDetector;
 use crate::persist::{load_checkpoint, save_checkpoint, PersistError};
-use hotspot_bnn::{BnnResNet, ExecPlan, NetConfig, PackedBnn};
+use hotspot_bnn::{BnnResNet, Cascade, NetConfig, PackedBnn};
 use hotspot_geometry::BitImage;
 use hotspot_layout_gen::LabeledClip;
 use hotspot_nn::{
@@ -17,7 +17,7 @@ use hotspot_nn::{
 use hotspot_telemetry::{
     metrics, span, trace, MonotonicClock, SlotProfiler, StderrSubscriber, Timer, Value,
 };
-use hotspot_tensor::{Tensor, WorkspacePool};
+use hotspot_tensor::{Tensor, Workspace, WorkspacePool};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
@@ -26,7 +26,8 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
 
-/// Clips per inference shard: one ExecPlan execution, one workspace.
+/// Clips per inference shard: one run of a compiled plan or the
+/// cascade, one workspace.
 const SHARD: usize = 64;
 
 /// Learning-rate factor applied by the watchdog on each rollback.
@@ -382,6 +383,9 @@ pub struct BnnDetector {
     /// packed path never locks it.
     net: Option<Mutex<BnnResNet>>,
     packed: Option<PackedBnn>,
+    /// The packed model's triage and confirm plans, compiled once when
+    /// training ends; the plain packed path runs the confirm plan.
+    cascade: Option<Cascade>,
     /// Reusable scratch for the packed path: each rayon worker checks
     /// out a [`hotspot_tensor::Workspace`] per shard, so steady-state
     /// batch inference recycles buffers instead of reallocating.
@@ -447,6 +451,7 @@ impl BnnDetector {
             config,
             net: None,
             packed: None,
+            cascade: None,
             ws_pool: WorkspacePool::new(),
             history: Vec::new(),
             rollbacks: 0,
@@ -820,7 +825,9 @@ impl BnnDetector {
 
         self.history = history;
         self.rollbacks = rollbacks;
-        self.packed = Some(PackedBnn::compile(&net));
+        let packed = PackedBnn::compile(&net);
+        self.cascade = Some(Cascade::new(&packed, cfg.input_size));
+        self.packed = Some(packed);
         self.net = Some(Mutex::new(net));
         Ok(())
     }
@@ -839,44 +846,67 @@ impl BnnDetector {
         out
     }
 
-    /// Logit margins through the packed XNOR path: the model is
-    /// compiled once into an [`hotspot_bnn::ExecPlan`], the batch is
-    /// split into [`SHARD`]-clip shards, and rayon workers run shards
-    /// concurrently against the shared plan, each with a workspace
-    /// checked out from the detector's pool.
-    fn packed_margins(&self, images: &[&BitImage]) -> Vec<f32> {
-        let packed = self.packed.as_ref().expect("detector is not trained");
-        let side = self.config.input_size;
-        let plan = packed.plan((side, side));
-        self.margins_with_plan(&plan, images)
+    /// The compiled cascade (panics before training).
+    fn cascade(&self) -> &Cascade {
+        self.cascade.as_ref().expect("detector is not trained")
     }
 
-    /// Shard-parallel logit margins through an already-compiled plan
-    /// (shared by the plain packed path and both cascade stages).
-    fn margins_with_plan(&self, plan: &ExecPlan<'_>, images: &[&BitImage]) -> Vec<f32> {
-        let side = self.config.input_size;
-        let plane = side * side;
+    /// The one shard loop of the packed path: on rayon workers, stages
+    /// each [`SHARD`]-clip shard's ±1 input in a workspace from the
+    /// detector's pool and returns `run(input, clips, ws)` per shard.
+    fn run_shards<T: Send>(
+        &self,
+        images: &[&BitImage],
+        run: impl Fn(&[f32], usize, &mut Workspace) -> T + Sync,
+    ) -> Vec<T> {
+        let plane = self.config.input_size * self.config.input_size;
         let shards: Vec<&[&BitImage]> = images.chunks(SHARD).collect();
-        let margins: Vec<Vec<f32>> = shards
+        shards
             .into_par_iter()
             .map(|shard| {
                 let n = shard.len();
                 let mut ws = self.ws_pool.checkout();
                 let mut input = ws.take_f32(n * plane);
-                for (i, img) in shard.iter().enumerate() {
-                    let t = self.clip_to_tensor(img);
-                    input[i * plane..(i + 1) * plane].copy_from_slice(t.as_slice());
+                for (img, dst) in shard.iter().zip(input.chunks_mut(plane)) {
+                    dst.copy_from_slice(self.clip_to_tensor(img).as_slice());
                 }
-                let mut logits = ws.take_f32(n * 2);
-                plan.run_batch_into(&input, n, &mut ws, &mut logits);
-                let out: Vec<f32> = (0..n).map(|i| logits[2 * i + 1] - logits[2 * i]).collect();
-                ws.give_f32(logits);
+                let out = run(&input, n, &mut ws);
                 ws.give_f32(input);
                 self.ws_pool.restore(ws);
                 out
             })
-            .collect();
-        margins.into_iter().flatten().collect()
+            .collect()
+    }
+
+    /// Logit margins through the packed XNOR path — the cascade's
+    /// full-M confirm plan, shard-parallel.  With `profile`, each shard
+    /// also times every plan step, and the merged profile comes back.
+    fn packed_margins(
+        &self,
+        images: &[&BitImage],
+        profile: bool,
+    ) -> (Vec<f32>, Option<SlotProfiler>) {
+        let plan = self.cascade().confirm();
+        let shards = self.run_shards(images, |input, n, ws| {
+            let mut prof = profile.then(|| plan.profiler());
+            let mut logits = ws.take_f32(n * 2);
+            match prof.as_mut() {
+                Some(p) => plan.run_batch_into_profiled(input, n, ws, &mut logits, p),
+                None => plan.run_batch_into(input, n, ws, &mut logits),
+            }
+            let margins: Vec<f32> = logits.chunks(2).map(|l| l[1] - l[0]).collect();
+            ws.give_f32(logits);
+            (margins, prof)
+        });
+        let mut merged = profile.then(|| plan.profiler());
+        let mut margins = Vec::with_capacity(images.len());
+        for (out, prof) in shards {
+            margins.extend(out);
+            if let (Some(merged), Some(prof)) = (merged.as_mut(), prof) {
+                merged.merge(&prof);
+            }
+        }
+        (margins, merged)
     }
 
     /// Runs the packed XNOR path over `images` with per-layer timing.
@@ -895,39 +925,9 @@ impl BnnDetector {
     ///
     /// Panics when called before training.
     pub fn profile_packed_inference(&self, images: &[&BitImage]) -> (Vec<f32>, SlotProfiler) {
-        let packed = self.packed.as_ref().expect("detector is not trained");
-        let side = self.config.input_size;
-        let plan = packed.plan((side, side));
-        let plane = side * side;
         let _span = span!("infer.packed_profiled", clips = images.len());
-        let shards: Vec<&[&BitImage]> = images.chunks(SHARD).collect();
-        let results: Vec<(Vec<f32>, SlotProfiler)> = shards
-            .into_par_iter()
-            .map(|shard| {
-                let n = shard.len();
-                let mut prof = plan.profiler();
-                let mut ws = self.ws_pool.checkout();
-                let mut input = ws.take_f32(n * plane);
-                for (i, img) in shard.iter().enumerate() {
-                    let t = self.clip_to_tensor(img);
-                    input[i * plane..(i + 1) * plane].copy_from_slice(t.as_slice());
-                }
-                let mut logits = ws.take_f32(n * 2);
-                plan.run_batch_into_profiled(&input, n, &mut ws, &mut logits, &mut prof);
-                let out: Vec<f32> = (0..n).map(|i| logits[2 * i + 1] - logits[2 * i]).collect();
-                ws.give_f32(logits);
-                ws.give_f32(input);
-                self.ws_pool.restore(ws);
-                (out, prof)
-            })
-            .collect();
-        let mut merged = plan.profiler();
-        let mut margins = Vec::with_capacity(images.len());
-        for (out, prof) in results {
-            margins.extend(out);
-            merged.merge(&prof);
-        }
-        (margins, merged)
+        let (margins, prof) = self.packed_margins(images, true);
+        (margins, prof.expect("a profiled run returns its profile"))
     }
 
     /// Classifies clips through the float (training) path.
@@ -948,7 +948,8 @@ impl BnnDetector {
     ///
     /// Panics when called before training.
     pub fn predict_batch_packed(&self, images: &[&BitImage]) -> Vec<bool> {
-        self.packed_margins(images)
+        self.packed_margins(images, false)
+            .0
             .into_iter()
             .map(|m| m >= 0.0)
             .collect()
@@ -959,12 +960,12 @@ impl BnnDetector {
     /// inside `(-threshold, threshold)` — too close to the decision
     /// boundary to trust — are re-scored by the full M-level model.
     ///
-    /// Both stages run the *same* compiled model: triage is a
-    /// [`plan_capped`](PackedBnn::plan_capped) execution at M = 1
-    /// (bit-for-bit the classic single-level network, since level 0 of
-    /// the residual stack is exactly the old representation), so the
-    /// cascade costs one model in memory.  With a single-level model,
-    /// or `threshold == 0`, this is identical to
+    /// Both stages are the detector's [`Cascade`], compiled once when
+    /// training ends: triage is the model capped at M = 1 (bit-for-bit
+    /// the classic single-level network, since level 0 of the residual
+    /// stack is exactly the old representation).  Each shard runs
+    /// [`Cascade::run`].  With a single-level model, or
+    /// `threshold == 0`, this is identical to
     /// [`predict_batch_packed`](BnnDetector::predict_batch_packed)'s
     /// decision at M = 1.
     ///
@@ -992,47 +993,25 @@ impl BnnDetector {
             threshold >= 0.0 && threshold.is_finite(),
             "cascade threshold must be finite and non-negative, got {threshold}"
         );
-        let packed = self.packed.as_ref().expect("detector is not trained");
-        let side = self.config.input_size;
+        let cascade = self.cascade();
         let _span = span!("infer.cascade", clips = images.len());
-        let clock = MonotonicClock;
-        let triage_timer = Timer::start(&clock);
-        let triage = packed.plan_capped((side, side), 1);
-        let margins = self.margins_with_plan(&triage, images);
-        let triage_ns = triage_timer.elapsed_ns();
-        let mut preds: Vec<bool> = margins.iter().map(|&m| m >= 0.0).collect();
-        if packed.levels() == 1 {
-            return (preds, 0);
-        }
-        let flagged: Vec<usize> = margins
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| m.abs() < threshold)
-            .map(|(i, _)| i)
-            .collect();
-        let confirm_timer = Timer::start(&clock);
-        if !flagged.is_empty() {
-            let confirm = packed.plan((side, side));
-            let flagged_images: Vec<&BitImage> = flagged.iter().map(|&i| images[i]).collect();
-            for (&i, &m) in flagged
-                .iter()
-                .zip(&self.margins_with_plan(&confirm, &flagged_images))
-            {
-                preds[i] = m >= 0.0;
-            }
-        }
-        let confirm_ns = confirm_timer.elapsed_ns();
+        let scored = self
+            .run_shards(images, |input, n, ws| {
+                let mut out = vec![(0.0f32, false); n];
+                cascade.run(input, threshold, ws, &mut out, None);
+                out
+            })
+            .concat();
+        let escalated = scored.iter().filter(|s| s.1).count();
         trace::dispatch_event(
             "infer.cascade",
             &[
                 ("clips", Value::from(images.len())),
-                ("escalated", Value::from(flagged.len())),
-                ("levels", Value::from(packed.levels())),
-                ("triage_ns", Value::from(triage_ns)),
-                ("confirm_ns", Value::from(confirm_ns)),
+                ("escalated", Value::from(escalated)),
+                ("levels", Value::from(cascade.levels())),
             ],
         );
-        (preds, flagged.len())
+        (scored.iter().map(|s| s.0 >= 0.0).collect(), escalated)
     }
 }
 
@@ -1058,7 +1037,7 @@ impl HotspotDetector for BnnDetector {
     fn score_batch(&self, images: &[&BitImage]) -> Vec<f32> {
         // The logit margin (hotspot − non-hotspot) is the natural score.
         match self.config.inference {
-            InferencePath::Packed => self.packed_margins(images),
+            InferencePath::Packed => self.packed_margins(images, false).0,
             InferencePath::Float => self.float_margins(images),
         }
     }

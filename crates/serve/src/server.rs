@@ -16,7 +16,10 @@
 //! whatever has actually accumulated — one job under light load, a
 //! full batch under pressure, with no artificial batching delay.
 //! Deadlines are enforced at dispatch: jobs that expired while queued
-//! are answered with `Deadline` without paying for inference.  The
+//! are answered with `Deadline` without paying for inference.  A batch
+//! of clips is one [`Cascade::run`] and a scan is one [`scan_chip`],
+//! both on the cascade the [`ModelSlot`] publishes: [`Server::start`]
+//! and a hot-swap compile it, so no request compiles anything.  The
 //! batch runs under `catch_unwind`; if it panics (a poisoned request,
 //! or an injected fault), each job is retried individually so only the
 //! culpable request fails `Internal` while its batch-mates still get
@@ -35,7 +38,7 @@ use crate::proto::{
 };
 use crate::queue::{BoundedQueue, PushRejected};
 use crate::swap::{validate_and_swap, SwapMonitor, SwapVerdict};
-use hotspot_bnn::{ModelSlot, PackedBnn, ScanConfig, ScanReport, Scanner};
+use hotspot_bnn::{scan_chip, Cascade, ModelSlot, PackedBnn, ScanConfig, ScanReport};
 use hotspot_geometry::BitImage;
 use hotspot_telemetry::{
     depth_buckets, next_trace_id, serving_latency_ns_buckets, trace, Clock, Counter, DriftConfig,
@@ -301,8 +304,9 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds a loopback listener on an OS-assigned port and starts
-    /// serving `model`.
+    /// Binds a loopback listener on an OS-assigned port, compiles
+    /// `model`'s cascade for `config.input_size` clips, and starts
+    /// serving it.
     ///
     /// # Errors
     ///
@@ -321,7 +325,7 @@ impl Server {
         drift.bind_gauge(registry.gauge("serve_drift_divergence"));
         let shared = Arc::new(Shared {
             queue: BoundedQueue::new(config.queue_capacity),
-            slot: ModelSlot::new(model),
+            slot: ModelSlot::new(Cascade::new(&model, config.input_size)),
             fault: Arc::new(FaultPlan::new()),
             registry,
             degrade: DegradeController::new(
@@ -952,13 +956,6 @@ fn finish(shared: &Shared, mut job: Job, resp: Response, outcome: Outcome) {
     shared.flight.record(job.rec);
 }
 
-/// One clip's classification outcome.
-struct ClipResult {
-    hotspot: bool,
-    margin: f32,
-    escalated: bool,
-}
-
 /// Signed nanoseconds from `now` to `deadline` (negative = missed).
 fn slack_ns(deadline: Instant, now: Instant) -> i64 {
     if deadline >= now {
@@ -969,20 +966,22 @@ fn slack_ns(deadline: Instant, now: Instant) -> i64 {
 }
 
 /// Completes a successfully classified job: stamps the cascade
-/// outcome on its flight record, feeds the drift monitor, and replies.
-fn finish_classified(shared: &Shared, mut job: Job, r: &ClipResult, degraded: bool, levels: u8) {
-    job.rec.escalated = r.escalated;
+/// outcome `(margin, escalated)` on its flight record, feeds the drift
+/// monitor, and replies.
+fn finish_classified(shared: &Shared, mut job: Job, r: (f32, bool), degraded: bool, levels: u8) {
+    let (margin, escalated) = r;
+    job.rec.escalated = escalated;
     job.rec.degraded = degraded;
     // M-level actually spent on this clip: the full ladder when the
     // cascade escalated it, the M = 1 triage pass otherwise.
-    job.rec.m_level = if r.escalated { levels } else { 1 };
-    shared.drift.observe(f64::from(r.margin), r.escalated);
+    job.rec.m_level = if escalated { levels } else { 1 };
+    shared.drift.observe(f64::from(margin), escalated);
     let resp = Response::Classify {
         id: job.id,
-        hotspot: r.hotspot,
-        margin: r.margin,
+        hotspot: margin >= 0.0,
+        margin,
         degraded,
-        escalated: r.escalated,
+        escalated,
         trace_id: job.rec.trace_id,
     };
     finish(shared, job, resp, Outcome::Ok);
@@ -1034,8 +1033,8 @@ fn worker_loop(shared: &Arc<Shared>) {
         let batch_size = live.len() as u32;
         shared.m.batch_fill.observe(f64::from(batch_size));
         let degraded = shared.degrade.is_degraded();
-        let (model, generation) = shared.slot.current();
-        let levels = model.levels().max(1) as u8;
+        let (cascade, generation) = shared.slot.current();
+        let levels = cascade.levels().max(1) as u8;
         let t_dispatched = shared.clock.now_ns();
         for job in &mut live {
             job.rec.mark(Stage::Batch, batch_ns);
@@ -1048,7 +1047,7 @@ fn worker_loop(shared: &Arc<Shared>) {
             .into_iter()
             .partition(|j| matches!(j.payload, JobPayload::Classify { .. }));
         if !classify.is_empty() {
-            match run_batch(shared, &model, generation, &classify, degraded) {
+            match run_batch(shared, &cascade, generation, &classify, degraded) {
                 Ok(results) => {
                     let infer_ns = shared.clock.now_ns().saturating_sub(t_dispatched);
                     handle_verdict(
@@ -1057,24 +1056,19 @@ fn worker_loop(shared: &Arc<Shared>) {
                     );
                     for (mut job, r) in classify.into_iter().zip(results) {
                         job.rec.mark(Stage::Inference, infer_ns);
-                        finish_classified(shared, job, &r, degraded, levels);
+                        finish_classified(shared, job, r, degraded, levels);
                     }
                 }
                 Err(()) => {
-                    shared.m.panics.inc();
-                    handle_verdict(
-                        shared,
-                        shared.monitor.record(&shared.slot, generation, false),
-                    );
                     // Panic isolation: retry each job alone (against the
                     // *current* model — a rollback may just have happened)
                     // so only the culpable request fails.
                     for mut job in classify {
-                        let (model, generation) = shared.slot.current();
-                        let levels = model.levels().max(1) as u8;
+                        let (cascade, generation) = shared.slot.current();
+                        let levels = cascade.levels().max(1) as u8;
                         match run_batch(
                             shared,
-                            &model,
+                            &cascade,
                             generation,
                             std::slice::from_ref(&job),
                             degraded,
@@ -1087,14 +1081,9 @@ fn worker_loop(shared: &Arc<Shared>) {
                                     Stage::Inference,
                                     shared.clock.now_ns().saturating_sub(t_dispatched),
                                 );
-                                finish_classified(shared, job, &r, degraded, levels);
+                                finish_classified(shared, job, r, degraded, levels);
                             }
                             Err(()) => {
-                                shared.m.panics.inc();
-                                handle_verdict(
-                                    shared,
-                                    shared.monitor.record(&shared.slot, generation, false),
-                                );
                                 job.rec.mark(
                                     Stage::Inference,
                                     shared.clock.now_ns().saturating_sub(t_dispatched),
@@ -1113,7 +1102,7 @@ fn worker_loop(shared: &Arc<Shared>) {
             }
         }
         for mut job in scans {
-            match run_scan(shared, &model, generation, &job, degraded) {
+            match run_scan(shared, &cascade, generation, &job, degraded) {
                 Ok(report) => {
                     handle_verdict(
                         shared,
@@ -1126,16 +1115,11 @@ fn worker_loop(shared: &Arc<Shared>) {
                     finish_scanned(shared, job, &report, degraded, levels);
                 }
                 Err(()) => {
-                    shared.m.panics.inc();
-                    handle_verdict(
-                        shared,
-                        shared.monitor.record(&shared.slot, generation, false),
-                    );
                     // One retry against the current slot (a rollback may
                     // just have replaced a poisoned generation).
-                    let (model, generation) = shared.slot.current();
-                    let levels = model.levels().max(1) as u8;
-                    match run_scan(shared, &model, generation, &job, degraded) {
+                    let (cascade, generation) = shared.slot.current();
+                    let levels = cascade.levels().max(1) as u8;
+                    match run_scan(shared, &cascade, generation, &job, degraded) {
                         Ok(report) => {
                             job.rec.mark(
                                 Stage::Inference,
@@ -1144,11 +1128,6 @@ fn worker_loop(shared: &Arc<Shared>) {
                             finish_scanned(shared, job, &report, degraded, levels);
                         }
                         Err(()) => {
-                            shared.m.panics.inc();
-                            handle_verdict(
-                                shared,
-                                shared.monitor.record(&shared.slot, generation, false),
-                            );
                             job.rec.mark(
                                 Stage::Inference,
                                 shared.clock.now_ns().saturating_sub(t_dispatched),
@@ -1188,16 +1167,17 @@ fn handle_verdict(shared: &Shared, verdict: SwapVerdict) {
     }
 }
 
-/// Runs the cascade over a batch under `catch_unwind`.  Workspace
-/// accounting survives a panic: the arena is moved into the closure
-/// and a fresh one is restored to the pool if it is lost.
-fn run_batch(
+/// Runs `work` for `jobs` under `catch_unwind`, after the fault plan's
+/// poison checks.  Workspace accounting survives a panic: the arena is
+/// moved into the closure and a fresh one is restored to the pool if
+/// it is lost.  A panic counts against `generation` in the metrics and
+/// the swap monitor before `Err` returns.
+fn isolated<T>(
     shared: &Shared,
-    model: &PackedBnn,
     generation: u64,
     jobs: &[Job],
-    degraded: bool,
-) -> Result<Vec<ClipResult>, ()> {
+    work: impl FnOnce(&mut Workspace) -> T,
+) -> Result<T, ()> {
     let ws = shared.ws_pool.checkout();
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         let mut ws = ws;
@@ -1209,43 +1189,51 @@ fn run_batch(
         if shared.fault.is_poisoned_generation(generation) {
             panic!("injected fault: poisoned model generation {generation}");
         }
-        let results = classify_batch(shared, model, jobs, degraded, &mut ws);
-        (results, ws)
+        (work(&mut ws), ws)
     }));
     match outcome {
-        Ok((results, ws)) => {
+        Ok((out, ws)) => {
             shared.ws_pool.restore(ws);
-            Ok(results)
+            Ok(out)
         }
         Err(_) => {
             // The workspace died with the panic; keep the bounded
             // pool's outstanding count honest with a fresh arena.
             shared.ws_pool.restore(Workspace::new());
+            shared.m.panics.inc();
+            handle_verdict(
+                shared,
+                shared.monitor.record(&shared.slot, generation, false),
+            );
             Err(())
         }
     }
 }
 
-/// Runs one full-chip scan under `catch_unwind`, mirroring
-/// [`run_batch`]'s panic and workspace accounting.  The scanner runs
-/// the same triage → confirm cascade per window; degradation maps to
-/// triage-only scanning.
+/// Runs the cascade over a batch of clips, [`isolated`].
+fn run_batch(
+    shared: &Shared,
+    cascade: &Cascade,
+    generation: u64,
+    jobs: &[Job],
+    degraded: bool,
+) -> Result<Vec<(f32, bool)>, ()> {
+    isolated(shared, generation, jobs, |ws| {
+        classify_batch(shared, cascade, jobs, degraded, ws)
+    })
+}
+
+/// Runs one full-chip scan with the slot's `cascade`, [`isolated`].
+/// Every window runs the same triage → confirm cascade; degradation
+/// maps to triage-only scanning.
 fn run_scan(
     shared: &Shared,
-    model: &PackedBnn,
+    cascade: &Cascade,
     generation: u64,
     job: &Job,
     degraded: bool,
 ) -> Result<ScanReport, ()> {
-    let ws = shared.ws_pool.checkout();
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let mut ws = ws;
-        if shared.fault.is_poisoned_request(job.id) {
-            panic!("injected fault: poisoned request {}", job.id);
-        }
-        if shared.fault.is_poisoned_generation(generation) {
-            panic!("injected fault: poisoned model generation {generation}");
-        }
+    isolated(shared, generation, std::slice::from_ref(job), |ws| {
         let JobPayload::Scan { image, stride } = &job.payload else {
             panic!("scan worker got a non-scan job");
         };
@@ -1255,20 +1243,8 @@ fn run_scan(
             triage_only: degraded,
             dedup: true,
         };
-        let scanner = Scanner::new(model, shared.config.input_size, config);
-        let report = scanner.scan(image, &mut ws);
-        (report, ws)
-    }));
-    match outcome {
-        Ok((report, ws)) => {
-            shared.ws_pool.restore(ws);
-            Ok(report)
-        }
-        Err(_) => {
-            shared.ws_pool.restore(Workspace::new());
-            Err(())
-        }
-    }
+        scan_chip(cascade, &config, image, ws)
+    })
 }
 
 /// Completes a scan job: stamps the flight record (a scan is its own
@@ -1312,87 +1288,45 @@ fn finish_scanned(shared: &Shared, mut job: Job, report: &ScanReport, degraded: 
     finish(shared, job, resp, Outcome::Ok);
 }
 
-/// The triage → confirm cascade over one batch (the serving twin of
-/// `BnnDetector::classify_cascade`, operating on pre-converted ±1
-/// inputs).  While degraded — or for M = 1 models — only the triage
-/// pass runs.
+/// One batch through the cascade: stages the clips' ±1 inputs, runs
+/// [`Cascade::run`] once — at threshold 0 while degraded, so only the
+/// triage pass runs — and reports the batch as a `serve.batch` event.
+/// Returns each clip's `(margin, escalated)`.
 fn classify_batch(
     shared: &Shared,
-    model: &PackedBnn,
+    cascade: &Cascade,
     jobs: &[Job],
     degraded: bool,
     ws: &mut Workspace,
-) -> Vec<ClipResult> {
-    let side = shared.config.input_size;
-    let threshold = shared.config.cascade_threshold;
-    let plane = side * side;
+) -> Vec<(f32, bool)> {
+    let plane = cascade.side() * cascade.side();
     let n = jobs.len();
-    let triage = model.plan_capped((side, side), 1);
     let mut input = ws.take_f32(n * plane);
-    for (i, job) in jobs.iter().enumerate() {
+    for (job, dst) in jobs.iter().zip(input.chunks_mut(plane)) {
         let JobPayload::Classify { input: clip } = &job.payload else {
             panic!("classify batch got a non-classify job");
         };
-        input[i * plane..(i + 1) * plane].copy_from_slice(clip);
+        dst.copy_from_slice(clip);
     }
-    let mut logits = ws.take_f32(n * 2);
-    // Profiled or not, the batch runs the same chunked engine, so a
-    // profile describes the code that serves.
-    if shared.config.profile_layers {
-        let mut prof = triage.profiler();
-        triage.run_batch_into_profiled(&input, n, ws, &mut logits, &mut prof);
-        prof.export_to(&shared.registry, "serve_layer_triage", "slot");
+    let threshold = if degraded {
+        0.0
     } else {
-        triage.run_batch_into(&input, n, ws, &mut logits);
-    }
-    let mut results: Vec<ClipResult> = (0..n)
-        .map(|i| {
-            let margin = logits[2 * i + 1] - logits[2 * i];
-            ClipResult {
-                hotspot: margin >= 0.0,
-                margin,
-                escalated: false,
-            }
-        })
-        .collect();
-    ws.give_f32(logits);
-
-    if !degraded && model.levels() > 1 {
-        let flagged: Vec<usize> = results
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.margin.abs() < threshold)
-            .map(|(i, _)| i)
-            .collect();
-        if !flagged.is_empty() {
-            let confirm = model.plan((side, side));
-            let m = flagged.len();
-            let mut cinput = ws.take_f32(m * plane);
-            for (slot, &i) in flagged.iter().enumerate() {
-                cinput[slot * plane..(slot + 1) * plane]
-                    .copy_from_slice(&input[i * plane..(i + 1) * plane]);
-            }
-            let mut clogits = ws.take_f32(m * 2);
-            if shared.config.profile_layers {
-                let mut prof = confirm.profiler();
-                confirm.run_batch_into_profiled(&cinput, m, ws, &mut clogits, &mut prof);
-                prof.export_to(&shared.registry, "serve_layer_confirm", "slot");
-            } else {
-                confirm.run_batch_into(&cinput, m, ws, &mut clogits);
-            }
-            for (slot, &i) in flagged.iter().enumerate() {
-                let margin = clogits[2 * slot + 1] - clogits[2 * slot];
-                results[i] = ClipResult {
-                    hotspot: margin >= 0.0,
-                    margin,
-                    escalated: true,
-                };
-            }
-            ws.give_f32(clogits);
-            ws.give_f32(cinput);
+        shared.config.cascade_threshold
+    };
+    let mut results = vec![(0.0f32, false); n];
+    // Profiled or not, the batch runs the same cascade, so a profile
+    // describes the code that serves.
+    let mut prof = shared.config.profile_layers.then(|| cascade.profiler());
+    cascade.run(&input, threshold, ws, &mut results, prof.as_mut());
+    ws.give_f32(input);
+    let escalated = results.iter().filter(|r| r.1).count();
+    if let Some(p) = prof {
+        let reg = &shared.registry;
+        p.triage.export_to(reg, "serve_layer_triage", "slot");
+        if escalated > 0 {
+            p.confirm.export_to(reg, "serve_layer_confirm", "slot");
         }
     }
-    ws.give_f32(input);
     // Stitch the batch into the trace stream: the first clip's trace
     // id anchors this event to the per-request timelines in the
     // flight recorder.
@@ -1404,10 +1338,7 @@ fn classify_batch(
                 trace::Value::from(jobs.first().map_or(0, |j| j.rec.trace_id)),
             ),
             ("clips", trace::Value::from(n)),
-            (
-                "escalated",
-                trace::Value::from(results.iter().filter(|r| r.escalated).count()),
-            ),
+            ("escalated", trace::Value::from(escalated)),
             ("degraded", trace::Value::from(degraded)),
         ],
     );

@@ -11,19 +11,21 @@
 //!    [`arch_fingerprint`](PackedBnn::arch_fingerprint) must equal the
 //!    serving model's: same topology, strides, scaling mode, and level
 //!    count.  Weights may differ (that is the point); shape may not.
-//! 3. **Canary** — a synthetic batch runs through the candidate under
-//!    `catch_unwind`; panics or non-finite logits reject the swap.
+//! 3. **Canary** — the candidate's [`Cascade`] is compiled once, and a
+//!    synthetic batch runs through it under `catch_unwind`, every clip
+//!    escalated so both plans that will serve run; panics or
+//!    non-finite margins reject the swap.
 //!
-//! Only then does [`ModelSlot::swap`] publish the candidate.  The old
-//! `Arc` is retained by a [`SwapMonitor`] that watches the first
-//! `window` batches of the new generation: if `max_failures` of them
-//! panic, the monitor swaps the retained model straight back (a fresh
-//! generation — rollback is itself a swap) without touching the disk.
-//! A generation that survives its window is accepted and the retained
-//! model is released.
+//! Only then does [`ModelSlot::swap`] publish that same compiled
+//! cascade.  The old `Arc` is retained by a [`SwapMonitor`] that
+//! watches the first `window` batches of the new generation: if
+//! `max_failures` of them panic, the monitor swaps the retained cascade
+//! straight back (a fresh generation — rollback is itself a swap)
+//! without touching the disk or compiling.  A generation that survives
+//! its window is accepted and the retained cascade is released.
 
 use crate::fault::FaultPlan;
-use hotspot_bnn::{ModelSlot, PackedBnn};
+use hotspot_bnn::{Cascade, ModelSlot};
 use hotspot_core::persist::{load_model, PersistError};
 use hotspot_tensor::Workspace;
 use std::error::Error;
@@ -45,7 +47,8 @@ pub enum SwapError {
         /// Fingerprint of the rejected candidate.
         candidate: u32,
     },
-    /// The canary batch panicked or produced non-finite logits.
+    /// The candidate panicked while compiling, or the canary batch
+    /// panicked or produced non-finite margins.
     CanaryFailed(String),
 }
 
@@ -72,31 +75,31 @@ impl Error for SwapError {
     }
 }
 
-/// Runs the canary: a small all-ones batch through a freshly compiled
-/// plan of `model`, requiring finite logits and no panic.
-fn run_canary(model: &PackedBnn, side: usize, fault: &FaultPlan) -> Result<(), String> {
+/// Runs the canary: a small all-ones batch through the candidate's
+/// cascade at an infinite threshold — every clip with a finite triage
+/// margin escalates, so both plans run — requiring finite margins (a
+/// non-finite logit makes one) and no panic.
+fn run_canary(cascade: &Cascade, fault: &FaultPlan) -> Result<(), String> {
     if fault.fail_canary() {
         return Err("injected canary failure".into());
     }
-    let n = 2usize;
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let plan = model.plan((side, side));
+        let mut scored = [(0.0f32, false); 2];
+        let input = vec![1.0f32; scored.len() * cascade.side() * cascade.side()];
         let mut ws = Workspace::new();
-        let input = vec![1.0f32; n * side * side];
-        let mut logits = vec![0.0f32; n * 2];
-        plan.run_into(&input, n, &mut ws, &mut logits);
-        logits
+        cascade.run(&input, f32::INFINITY, &mut ws, &mut scored, None);
+        scored
     }));
     match outcome {
-        Ok(logits) if logits.iter().all(|v| v.is_finite()) => Ok(()),
-        Ok(logits) => Err(format!("non-finite canary logits {logits:?}")),
+        Ok(scored) if scored.iter().all(|s| s.0.is_finite()) => Ok(()),
+        Ok(scored) => Err(format!("non-finite canary margins {scored:?}")),
         Err(_) => Err("candidate model panicked on the canary batch".into()),
     }
 }
 
-/// Loads and validates `path`, then atomically publishes it to `slot`.
-/// Returns the new generation and the displaced model (for the
-/// rollback monitor).
+/// Loads and validates `path`, compiles its cascade once, and
+/// atomically publishes that cascade to `slot`.  Returns the new
+/// generation and the displaced cascade (for the rollback monitor).
 ///
 /// # Errors
 ///
@@ -107,7 +110,7 @@ pub fn validate_and_swap(
     path: &Path,
     input_side: usize,
     fault: &FaultPlan,
-) -> Result<(u64, Arc<PackedBnn>), SwapError> {
+) -> Result<(u64, Arc<Cascade>), SwapError> {
     let candidate = load_model(path).map_err(SwapError::Load)?;
     let (serving, _) = slot.current();
     let serving_fp = serving.arch_fingerprint();
@@ -118,14 +121,16 @@ pub fn validate_and_swap(
             candidate: candidate_fp,
         });
     }
-    run_canary(&candidate, input_side, fault).map_err(SwapError::CanaryFailed)?;
-    let (prev, generation) = slot.swap(Arc::new(candidate));
+    let cascade = catch_unwind(AssertUnwindSafe(|| Cascade::new(&candidate, input_side)))
+        .map_err(|_| SwapError::CanaryFailed("candidate model panicked while compiling".into()))?;
+    run_canary(&cascade, fault).map_err(SwapError::CanaryFailed)?;
+    let (prev, generation) = slot.swap(Arc::new(cascade));
     Ok((generation, prev))
 }
 
 struct Watch {
     generation: u64,
-    prev: Arc<PackedBnn>,
+    prev: Arc<Cascade>,
     batches: usize,
     failures: usize,
 }
@@ -145,11 +150,11 @@ pub enum SwapVerdict {
     /// No watch active for this generation (or still inside the
     /// window): nothing happened.
     Watching,
-    /// The generation survived its window; the retained model was
+    /// The generation survived its window; the retained cascade was
     /// released.
     Accepted,
-    /// Failures crossed the threshold; the previous model was swapped
-    /// back as the contained generation.
+    /// Failures crossed the threshold; the previous cascade was swapped
+    /// back, uncompiled, as the contained generation.
     RolledBack {
         /// The generation that was rolled back.
         failed: u64,
@@ -177,10 +182,10 @@ impl SwapMonitor {
         }
     }
 
-    /// Starts watching `generation`, retaining `prev` for rollback.
-    /// Replaces any watch still in progress (the older generation is
-    /// already off the serving path, so its watch is moot).
-    pub fn begin_watch(&self, generation: u64, prev: Arc<PackedBnn>) {
+    /// Starts watching `generation`, retaining the compiled `prev` for
+    /// rollback.  Replaces any watch still in progress (the older
+    /// generation is already off the serving path, so its watch is moot).
+    pub fn begin_watch(&self, generation: u64, prev: Arc<Cascade>) {
         let mut watch = self.watch.lock().unwrap_or_else(|p| p.into_inner());
         *watch = Some(Watch {
             generation,
@@ -234,7 +239,7 @@ impl SwapMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hotspot_bnn::{BnnResNet, NetConfig};
+    use hotspot_bnn::{BnnResNet, NetConfig, PackedBnn};
     use hotspot_core::persist::save_model;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -244,13 +249,17 @@ mod tests {
         PackedBnn::compile(&BnnResNet::new(&NetConfig::tiny(side), &mut rng))
     }
 
+    fn cascade(seed: u64, side: usize) -> Cascade {
+        Cascade::new(&packed(seed, side), side)
+    }
+
     fn tmp(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("serve_swap_{name}_{}", std::process::id()))
     }
 
     #[test]
     fn valid_artifact_swaps_and_returns_previous() {
-        let slot = ModelSlot::new(packed(1, 16));
+        let slot = ModelSlot::new(cascade(1, 16));
         let (before, _) = slot.current();
         let path = tmp("ok");
         save_model(&path, &packed(2, 16)).unwrap();
@@ -263,7 +272,7 @@ mod tests {
 
     #[test]
     fn corrupt_artifact_is_rejected_and_service_model_unchanged() {
-        let slot = ModelSlot::new(packed(3, 16));
+        let slot = ModelSlot::new(cascade(3, 16));
         let path = tmp("corrupt");
         save_model(&path, &packed(4, 16)).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
@@ -290,7 +299,7 @@ mod tests {
 
     #[test]
     fn architecture_mismatch_is_rejected() {
-        let slot = ModelSlot::new(packed(5, 16));
+        let slot = ModelSlot::new(cascade(5, 16));
         let path = tmp("arch");
         // Same topology but M = 2 residual levels: a different
         // deployment contract, so the fingerprints must differ.
@@ -304,7 +313,7 @@ mod tests {
 
     #[test]
     fn injected_canary_failure_rejects_the_swap() {
-        let slot = ModelSlot::new(packed(7, 16));
+        let slot = ModelSlot::new(cascade(7, 16));
         let path = tmp("canary");
         save_model(&path, &packed(8, 16)).unwrap();
         let fault = FaultPlan::new();
@@ -317,9 +326,9 @@ mod tests {
 
     #[test]
     fn monitor_rolls_back_a_failing_generation() {
-        let slot = ModelSlot::new(packed(9, 16));
+        let slot = ModelSlot::new(cascade(9, 16));
         let (original, _) = slot.current();
-        let (prev, g2) = slot.swap(Arc::new(packed(10, 16)));
+        let (prev, g2) = slot.swap(Arc::new(cascade(10, 16)));
         let monitor = SwapMonitor::new(8, 2);
         monitor.begin_watch(g2, prev);
         assert_eq!(monitor.record(&slot, g2, false), SwapVerdict::Watching);
@@ -339,8 +348,8 @@ mod tests {
 
     #[test]
     fn monitor_accepts_a_generation_that_survives_its_window() {
-        let slot = ModelSlot::new(packed(11, 16));
-        let (prev, g2) = slot.swap(Arc::new(packed(12, 16)));
+        let slot = ModelSlot::new(cascade(11, 16));
+        let (prev, g2) = slot.swap(Arc::new(cascade(12, 16)));
         let monitor = SwapMonitor::new(3, 2);
         monitor.begin_watch(g2, prev);
         assert_eq!(monitor.record(&slot, g2, true), SwapVerdict::Watching);
@@ -352,8 +361,8 @@ mod tests {
 
     #[test]
     fn monitor_ignores_other_generations() {
-        let slot = ModelSlot::new(packed(13, 16));
-        let (prev, g2) = slot.swap(Arc::new(packed(14, 16)));
+        let slot = ModelSlot::new(cascade(13, 16));
+        let (prev, g2) = slot.swap(Arc::new(cascade(14, 16)));
         let monitor = SwapMonitor::new(2, 1);
         monitor.begin_watch(g2, prev);
         // Stale reports from the pre-swap generation change nothing.
