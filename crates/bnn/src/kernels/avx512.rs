@@ -118,62 +118,69 @@ pub unsafe fn gemm_block_avx512(
     }
 }
 
-/// One channel of the fused affine + sign-pack + |v| mean pass
-/// (`bitpack::pack_affine_mean_into`, single-word-channel layout):
-/// per pixel `v = s·x + b`, OR `(v >= 0) << bit` into `data[p]`, add
-/// `|v|` into `mean[p]`.  Sixteen pixels per iteration; the scalar
-/// tail replays the identical op sequence, so results are bit-exact
-/// against the portable loop (separate multiply and add — no FMA
-/// contraction — and `_CMP_GE_OQ` matches Rust's `>=` on NaN and
-/// `-0.0`).
+/// The fused affine + sign-pack + |v| mean pass
+/// (`bitpack::pack_affine_mean_into`) for single-word channels,
+/// sixteen pixels at a time: per channel `v = s·x + b`, OR `(v >= 0)
+/// << ci` into the pixel words and add `|v|` into the mean.  A block's
+/// mean sum and its two vectors of sign words stay in registers across
+/// all channels, in ascending channel order, and are stored once.  The
+/// tail pixels replay the identical op sequence one at a time, so
+/// results are bit-exact against the portable loop (separate multiply
+/// and add — no FMA contraction — and `_CMP_GE_OQ` matches Rust's `>=`
+/// on NaN and `-0.0`).
 ///
 /// # Safety
 ///
-/// Requires AVX-512F (checked by the dispatcher); slices must share
-/// one plane length.
+/// Requires AVX-512F.  With `c = scale.len()` and `plane =
+/// mean.len()`: `c <= 64`, `shift.len() == c`, `item.len() == c *
+/// plane` and `data.len() == plane`.
 #[target_feature(enable = "avx512f")]
-pub unsafe fn pack_affine_channel_avx512(
-    src: &[f32],
-    s: f32,
-    b: f32,
-    bit: u32,
+pub unsafe fn pack_affine_mean_avx512(
+    item: &[f32],
+    scale: &[f32],
+    shift: &[f32],
     data: &mut [u64],
     mean: &mut [f32],
 ) {
-    debug_assert_eq!(src.len(), data.len());
-    debug_assert_eq!(src.len(), mean.len());
-    let plane = src.len();
-    let sv = _mm512_set1_ps(s);
-    let bv = _mm512_set1_ps(b);
+    let (c, plane) = (scale.len(), mean.len());
+    debug_assert!(c <= 64 && shift.len() == c);
+    debug_assert!(item.len() == c * plane && data.len() == plane);
+    let inv_c = 1.0 / c as f32;
+    let invv = _mm512_set1_ps(inv_c);
     let absmask = _mm512_set1_epi32(0x7fff_ffff);
-    let bitv = _mm512_set1_epi64(1i64 << bit);
     let zero = _mm512_setzero_ps();
     let mut p = 0usize;
     while p + 16 <= plane {
-        let x = _mm512_loadu_ps(src.as_ptr().add(p));
-        let v = _mm512_add_ps(_mm512_mul_ps(x, sv), bv);
-        let va = _mm512_castsi512_ps(_mm512_and_si512(_mm512_castps_si512(v), absmask));
-        let m = _mm512_loadu_ps(mean.as_ptr().add(p));
-        _mm512_storeu_ps(mean.as_mut_ptr().add(p), _mm512_add_ps(m, va));
-        let ge: u16 = _mm512_cmp_ps_mask(v, zero, _CMP_GE_OQ);
-        let d0 = data.as_mut_ptr().add(p) as *mut __m512i;
-        let d1 = data.as_mut_ptr().add(p + 8) as *mut __m512i;
-        let w0 = _mm512_loadu_si512(d0 as *const __m512i);
-        let w1 = _mm512_loadu_si512(d1 as *const __m512i);
-        _mm512_storeu_si512(
-            d0,
-            _mm512_or_si512(w0, _mm512_maskz_mov_epi64((ge & 0xff) as u8, bitv)),
-        );
-        _mm512_storeu_si512(
-            d1,
-            _mm512_or_si512(w1, _mm512_maskz_mov_epi64((ge >> 8) as u8, bitv)),
-        );
+        let mut m = _mm512_setzero_ps();
+        let mut w0 = _mm512_setzero_si512();
+        let mut w1 = _mm512_setzero_si512();
+        for ci in 0..c {
+            let x = _mm512_loadu_ps(item.as_ptr().add(ci * plane + p));
+            let v = _mm512_add_ps(
+                _mm512_mul_ps(x, _mm512_set1_ps(scale[ci])),
+                _mm512_set1_ps(shift[ci]),
+            );
+            let va = _mm512_castsi512_ps(_mm512_and_si512(_mm512_castps_si512(v), absmask));
+            m = _mm512_add_ps(m, va);
+            let ge: u16 = _mm512_cmp_ps_mask(v, zero, _CMP_GE_OQ);
+            let bitv = _mm512_set1_epi64(1i64 << ci);
+            w0 = _mm512_mask_or_epi64(w0, ge as u8, w0, bitv);
+            w1 = _mm512_mask_or_epi64(w1, (ge >> 8) as u8, w1, bitv);
+        }
+        _mm512_storeu_ps(mean.as_mut_ptr().add(p), _mm512_mul_ps(m, invv));
+        _mm512_storeu_si512(data.as_mut_ptr().add(p) as *mut __m512i, w0);
+        _mm512_storeu_si512(data.as_mut_ptr().add(p + 8) as *mut __m512i, w1);
         p += 16;
     }
     while p < plane {
-        let v = s * src[p] + b;
-        data[p] |= ((v >= 0.0) as u64) << bit;
-        mean[p] += v.abs();
+        let (mut word, mut m) = (0u64, 0.0f32);
+        for ci in 0..c {
+            let v = scale[ci] * item[ci * plane + p] + shift[ci];
+            word |= ((v >= 0.0) as u64) << ci;
+            m += v.abs();
+        }
+        data[p] = word;
+        mean[p] = m * inv_c;
         p += 1;
     }
 }

@@ -45,8 +45,6 @@ pub struct TapRange {
 pub struct AxisClasses {
     /// Class index of every output coordinate.
     class_of: Vec<u8>,
-    /// Coordinates from `o` on (itself included) sharing `o`'s class.
-    run: Vec<u32>,
     /// Valid-tap mask of every class (bit `t` = offset `t` in bounds).
     masks: Vec<u64>,
 }
@@ -76,17 +74,7 @@ impl AxisClasses {
             // yields at most 129 distinct masks.
             class_of.push(u8::try_from(class).expect("at most 256 tap classes per axis"));
         }
-        let mut run = vec![1u32; out];
-        for o in (0..out.saturating_sub(1)).rev() {
-            if class_of[o] == class_of[o + 1] {
-                run[o] = run[o + 1] + 1;
-            }
-        }
-        AxisClasses {
-            class_of,
-            run,
-            masks,
-        }
+        AxisClasses { class_of, masks }
     }
 
     /// Number of distinct classes.
@@ -98,13 +86,6 @@ impl AxisClasses {
     #[inline]
     pub fn class(&self, o: usize) -> usize {
         self.class_of[o] as usize
-    }
-
-    /// Class of `o` and how many consecutive coordinates from `o` on
-    /// share it.
-    #[inline]
-    pub fn span(&self, o: usize) -> (usize, usize) {
-        (self.class_of[o] as usize, self.run[o] as usize)
     }
 
     /// Valid-tap mask of class `class`.
@@ -259,13 +240,6 @@ impl ConvGeometry {
         &self.cols
     }
 
-    /// Number of border classes: row classes × column classes.  Pixel
-    /// `(oy, ox)` is in class `rows.class(oy) · cols.count() +
-    /// cols.class(ox)`.
-    pub fn border_classes(&self) -> usize {
-        self.rows.count() * self.cols.count()
-    }
-
     /// Valid output range of tap `(ky, kx)`.
     pub fn tap_range(&self, ky: usize, kx: usize) -> TapRange {
         self.tap_ranges[ky * self.kw + kx]
@@ -351,7 +325,7 @@ mod tests {
     }
 
     #[test]
-    fn classes_are_distinct_masks_with_exact_runs() {
+    fn classes_are_distinct_masks() {
         for (h, w, k, stride, pad, rows, cols) in [
             (16, 16, 3, 1, 1, 3, 3), // top / interior / bottom
             (16, 16, 3, 2, 1, 2, 2), // even input: no bottom overhang
@@ -363,20 +337,13 @@ mod tests {
                 (g.row_classes().count(), g.col_classes().count()),
                 (rows, cols)
             );
-            assert_eq!(g.border_classes(), rows * cols);
             for axis in [g.row_classes(), g.col_classes()] {
                 for a in 0..axis.count() {
                     for b in a + 1..axis.count() {
                         assert_ne!(axis.mask(a), axis.mask(b));
                     }
                 }
-                let n = axis.class_of.len();
-                for o in 0..n {
-                    let (class, run) = axis.span(o);
-                    assert!(run >= 1 && o + run <= n);
-                    assert!((o..o + run).all(|i| axis.class(i) == class));
-                    assert!(o + run == n || axis.class(o + run) != class);
-                }
+                assert!(axis.class_of.iter().all(|&c| (c as usize) < axis.count()));
             }
         }
     }

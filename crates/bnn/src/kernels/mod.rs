@@ -12,7 +12,10 @@
 //! (B).  It runs every output pixel of every conv at every batch size,
 //! border pixels included (their out-of-bounds taps are zero B bits,
 //! corrected exactly in the epilogue); the fused binarize-pack front
-//! ([`pack_affine_mean`]) has its own vector bodies.
+//! ([`pack_affine_mean`]) has its own vector bodies.  Every other pass
+//! of a conv — the B repack, the epilogue, the scale-map box filter —
+//! and the plan's residual merge are plain slice sweeps that
+//! [`isa::run`] compiles once per x86 backend's instruction set.
 //!
 //! Five implementations exist, selected **once** per
 //! [`ExecPlan`](crate::plan::ExecPlan) compile (not per call):
@@ -30,7 +33,9 @@
 //!   register-blocked microkernel, 8 pixels × up to 4 filters.
 //! * [`KernelBackend::Avx512`] — native per-lane popcount
 //!   (`vpopcntdq`) on 512-bit lanes, 16 pixels × up to 4 filters;
-//!   requires both `avx512f` and `avx512vpopcntdq`.
+//!   requires `avx512f` and `avx512vpopcntdq`, plus `avx512bw`,
+//!   `avx512dq` and `avx512vl` for the passes [`isa::run`] compiles
+//!   around it.
 //! * [`KernelBackend::Neon`] — AArch64 `vcntq_u8` byte popcount with
 //!   pairwise widening reduction, 4 pixels × up to 4 filters.
 //!
@@ -46,6 +51,7 @@
 mod avx512;
 pub mod gemm;
 pub mod geom;
+pub(crate) mod isa;
 #[cfg(target_arch = "aarch64")]
 mod neon;
 #[cfg(target_arch = "x86_64")]
@@ -68,7 +74,8 @@ pub enum KernelBackend {
     /// (x86-64 only).
     Avx2,
     /// AVX-512 native `vpopcntdq` popcount, 8 `u64` words per vector
-    /// (x86-64 only; needs `avx512f` + `avx512vpopcntdq`).
+    /// (x86-64 only; needs `avx512f`, `avx512bw`, `avx512dq`,
+    /// `avx512vl` and `avx512vpopcntdq`).
     Avx512,
     /// AArch64 NEON `vcntq_u8` byte popcount, 2 `u64` words per vector
     /// (aarch64 only).
@@ -110,7 +117,8 @@ impl KernelBackend {
         }
     }
 
-    /// Whether this backend can run on the current CPU.
+    /// Whether this backend can run on the current CPU: every feature
+    /// its kernels and its [`isa::run`] instantiation enable is present.
     pub fn is_supported(self) -> bool {
         match self {
             KernelBackend::Scalar => true,
@@ -118,9 +126,15 @@ impl KernelBackend {
             KernelBackend::Ssse3 => std::arch::is_x86_feature_detected!("ssse3"),
             #[cfg(target_arch = "x86_64")]
             KernelBackend::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            // The GEMM needs F + VPOPCNTDQ; the pass instantiation also
+            // enables BW, DQ and VL, which some AVX-512 parts (Knights
+            // Mill) lack.
             #[cfg(target_arch = "x86_64")]
             KernelBackend::Avx512 => {
                 std::arch::is_x86_feature_detected!("avx512f")
+                    && std::arch::is_x86_feature_detected!("avx512bw")
+                    && std::arch::is_x86_feature_detected!("avx512dq")
+                    && std::arch::is_x86_feature_detected!("avx512vl")
                     && std::arch::is_x86_feature_detected!("avx512vpopcntdq")
             }
             #[cfg(target_arch = "aarch64")]
@@ -218,22 +232,24 @@ pub fn active_backend() -> KernelBackend {
 /// [`pack_affine_mean_into`](crate::bitpack::pack_affine_mean_into):
 /// the fused batch-norm affine + sign-pack + `|v|` channel-mean pass
 /// that fronts every scaled packed convolution.  On AVX2/AVX-512 with
-/// single-word channels (`c <= 64`) the per-pixel loop runs 8/16 f32
-/// lanes wide; every other backend or layout falls through to the
-/// portable loop.
+/// single-word channels (`c <= 64`) a block of 8/16 pixels keeps its
+/// `|v|` sum and its sign words in registers across every channel and
+/// stores them once; every other backend or layout runs the portable
+/// per-channel loop, which stays the reference.
 ///
-/// Bit-exact by construction: the channel loop stays outer and
-/// in-order (each pixel's mean accumulates channels ascending, as the
-/// portable pass does), the vector bodies use separate multiply and
-/// add (no FMA contraction), `|v|` is the same sign-bit clear, and the
-/// `>= 0` compare is ordered-quiet — so packed words and mean f32s are
-/// identical to the scalar reference on every input including NaN and
+/// Bit-exact by construction: each pixel's mean accumulates its
+/// channels in ascending order from `0.0`, as the portable pass does,
+/// the vector bodies use separate multiply and add (no FMA
+/// contraction), `|v|` is the same sign-bit clear, and the `>= 0`
+/// compare is ordered-quiet — so packed words and mean f32s are
+/// identical to the portable loop on every input including NaN and
 /// `-0.0` (covered by the `pack_affine_mean_backends_bit_identical`
 /// test).
 ///
 /// # Panics
 ///
-/// Panics when a slice length disagrees with the dimensions.
+/// Panics when a slice length disagrees with the dimensions or
+/// `backend` cannot run on this CPU.
 #[allow(clippy::too_many_arguments)]
 pub fn pack_affine_mean(
     backend: KernelBackend,
@@ -256,26 +272,18 @@ pub fn pack_affine_mean(
             scale.len() == c && shift.len() == c,
             "one affine per channel"
         );
-        data.fill(0);
-        mean.fill(0.0);
-        for ci in 0..c {
-            let src = &item[ci * plane..(ci + 1) * plane];
-            // SAFETY: backends are only selected when
-            // `is_x86_feature_detected!` confirmed the feature.
-            match backend {
-                KernelBackend::Avx512 => unsafe {
-                    avx512::pack_affine_channel_avx512(
-                        src, scale[ci], shift[ci], ci as u32, data, mean,
-                    )
-                },
-                _ => unsafe {
-                    x86::pack_affine_channel_avx2(src, scale[ci], shift[ci], ci as u32, data, mean)
-                },
-            }
-        }
-        let inv_c = 1.0 / c as f32;
-        for m in mean.iter_mut() {
-            *m *= inv_c;
+        assert!(
+            backend.is_supported(),
+            "kernel backend {} is not supported on this CPU",
+            backend.name()
+        );
+        // SAFETY: the feature set was confirmed just above and the
+        // slice lengths are the ones the kernels require.
+        match backend {
+            KernelBackend::Avx512 => unsafe {
+                avx512::pack_affine_mean_avx512(item, scale, shift, data, mean)
+            },
+            _ => unsafe { x86::pack_affine_mean_avx2(item, scale, shift, data, mean) },
         }
         return;
     }
@@ -401,7 +409,18 @@ mod tests {
         // (plane % 16 != 0), the channel-bit sweep, and the multi-word
         // fallback (c > 64); values cross zero and include -0.0 and
         // exact zeros so the ordered >= compare is pinned down.
-        for (c, h, w) in [(1, 7, 9), (3, 16, 16), (8, 13, 5), (64, 4, 5), (65, 3, 3)] {
+        for (c, h, w) in [
+            (1, 7, 9),
+            (3, 16, 16),
+            (8, 13, 5),
+            (64, 4, 5),
+            (65, 3, 3),
+            (1, 128, 128),
+            (8, 128, 128),
+            (63, 9, 9),
+            (64, 8, 8),
+            (65, 8, 8),
+        ] {
             let plane = h * w;
             let mut s = 0x9e3779b97f4a7c15u64;
             let mut nextf = move || {

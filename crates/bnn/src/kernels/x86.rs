@@ -9,7 +9,7 @@
 //! processes four `u64` words per vector, SSSE3 two.  AVX2 runs it in a
 //! register-blocked GEMM microkernel; SSSE3 runs it as span kernels,
 //! one B row per reduction word.  The fused affine + sign-pack pass
-//! of the scaled convs has an AVX2 body here too.
+//! of the scaled convs has a register-blocked AVX2 body here too.
 //!
 //! Every function is `unsafe` + `#[target_feature]`: callers (the
 //! dispatchers in `kernels::mod` / `kernels::gemm`) must have verified
@@ -281,61 +281,74 @@ pub unsafe fn gemm_block_ssse3(
     }
 }
 
-/// One channel of the fused affine + sign-pack + |v| mean pass
-/// (`bitpack::pack_affine_mean_into`, single-word-channel layout):
-/// per pixel `v = s·x + b`, OR `(v >= 0) << bit` into `data[p]`, add
-/// `|v|` into `mean[p]`.  Eight pixels per iteration — the `>= 0`
-/// compare mask widens to two quadword halves via `vpmovsxdq` — and
-/// the scalar tail replays the identical op sequence, so results are
-/// bit-exact against the portable loop (separate multiply and add —
-/// no FMA contraction — and `_CMP_GE_OQ` matches Rust's `>=` on NaN
-/// and `-0.0`).
+/// The fused affine + sign-pack + |v| mean pass
+/// (`bitpack::pack_affine_mean_into`) for single-word channels, eight
+/// pixels at a time: per channel `v = s·x + b`, OR `(v >= 0) << ci`
+/// into the pixel words and add `|v|` into the mean.  A block's mean
+/// sum and its two vectors of sign words stay in registers across all
+/// channels, in ascending channel order, and are stored once; the
+/// `>= 0` compare mask widens to two quadword halves via `vpmovsxdq`.
+/// The tail pixels replay the identical op sequence one at a time, so
+/// results are bit-exact against the portable loop (separate multiply
+/// and add — no FMA contraction — and `_CMP_GE_OQ` matches Rust's `>=`
+/// on NaN and `-0.0`).
 ///
 /// # Safety
 ///
-/// Requires AVX2 (checked by the dispatcher); slices must share one
-/// plane length.
+/// Requires AVX2.  With `c = scale.len()` and `plane = mean.len()`:
+/// `c <= 64`, `shift.len() == c`, `item.len() == c * plane` and
+/// `data.len() == plane`.
 #[target_feature(enable = "avx2")]
-pub unsafe fn pack_affine_channel_avx2(
-    src: &[f32],
-    s: f32,
-    b: f32,
-    bit: u32,
+pub unsafe fn pack_affine_mean_avx2(
+    item: &[f32],
+    scale: &[f32],
+    shift: &[f32],
     data: &mut [u64],
     mean: &mut [f32],
 ) {
-    debug_assert_eq!(src.len(), data.len());
-    debug_assert_eq!(src.len(), mean.len());
-    let plane = src.len();
-    let sv = _mm256_set1_ps(s);
-    let bv = _mm256_set1_ps(b);
+    let (c, plane) = (scale.len(), mean.len());
+    debug_assert!(c <= 64 && shift.len() == c);
+    debug_assert!(item.len() == c * plane && data.len() == plane);
+    let inv_c = 1.0 / c as f32;
+    let invv = _mm256_set1_ps(inv_c);
     let absmask = _mm256_set1_epi32(0x7fff_ffff);
-    let bitv = _mm256_set1_epi64x(1i64 << bit);
     let zero = _mm256_setzero_ps();
     let mut p = 0usize;
     while p + 8 <= plane {
-        let x = _mm256_loadu_ps(src.as_ptr().add(p));
-        let v = _mm256_add_ps(_mm256_mul_ps(x, sv), bv);
-        let va = _mm256_castsi256_ps(_mm256_and_si256(_mm256_castps_si256(v), absmask));
-        let m = _mm256_loadu_ps(mean.as_ptr().add(p));
-        _mm256_storeu_ps(mean.as_mut_ptr().add(p), _mm256_add_ps(m, va));
-        // 8 lanes of all-ones/zero from the ordered >= compare, sign-
-        // extended to u64 and ANDed with the channel bit.
-        let ge = _mm256_castps_si256(_mm256_cmp_ps(v, zero, _CMP_GE_OQ));
-        let lo = _mm256_and_si256(_mm256_cvtepi32_epi64(_mm256_castsi256_si128(ge)), bitv);
-        let hi = _mm256_and_si256(_mm256_cvtepi32_epi64(_mm256_extracti128_si256(ge, 1)), bitv);
-        let d0 = data.as_mut_ptr().add(p) as *mut __m256i;
-        let d1 = data.as_mut_ptr().add(p + 4) as *mut __m256i;
-        let w0 = _mm256_loadu_si256(d0 as *const __m256i);
-        let w1 = _mm256_loadu_si256(d1 as *const __m256i);
-        _mm256_storeu_si256(d0, _mm256_or_si256(w0, lo));
-        _mm256_storeu_si256(d1, _mm256_or_si256(w1, hi));
+        let mut m = _mm256_setzero_ps();
+        let mut w0 = _mm256_setzero_si256();
+        let mut w1 = _mm256_setzero_si256();
+        for ci in 0..c {
+            let x = _mm256_loadu_ps(item.as_ptr().add(ci * plane + p));
+            let v = _mm256_add_ps(
+                _mm256_mul_ps(x, _mm256_set1_ps(scale[ci])),
+                _mm256_set1_ps(shift[ci]),
+            );
+            let va = _mm256_castsi256_ps(_mm256_and_si256(_mm256_castps_si256(v), absmask));
+            m = _mm256_add_ps(m, va);
+            // 8 lanes of all-ones/zero from the ordered >= compare, sign-
+            // extended to u64 and ANDed with the channel bit.
+            let ge = _mm256_castps_si256(_mm256_cmp_ps(v, zero, _CMP_GE_OQ));
+            let bitv = _mm256_set1_epi64x(1i64 << ci);
+            let lo = _mm256_cvtepi32_epi64(_mm256_castsi256_si128(ge));
+            let hi = _mm256_cvtepi32_epi64(_mm256_extracti128_si256(ge, 1));
+            w0 = _mm256_or_si256(w0, _mm256_and_si256(lo, bitv));
+            w1 = _mm256_or_si256(w1, _mm256_and_si256(hi, bitv));
+        }
+        _mm256_storeu_ps(mean.as_mut_ptr().add(p), _mm256_mul_ps(m, invv));
+        _mm256_storeu_si256(data.as_mut_ptr().add(p) as *mut __m256i, w0);
+        _mm256_storeu_si256(data.as_mut_ptr().add(p + 4) as *mut __m256i, w1);
         p += 8;
     }
     while p < plane {
-        let v = s * src[p] + b;
-        data[p] |= ((v >= 0.0) as u64) << bit;
-        mean[p] += v.abs();
+        let (mut word, mut m) = (0u64, 0.0f32);
+        for ci in 0..c {
+            let v = scale[ci] * item[ci * plane + p] + shift[ci];
+            word |= ((v >= 0.0) as u64) << ci;
+            m += v.abs();
+        }
+        data[p] = word;
+        mean[p] = m * inv_c;
         p += 1;
     }
 }

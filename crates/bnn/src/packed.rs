@@ -9,10 +9,13 @@
 //! microkernel against filter rows repacked once at prep time.  A tap
 //! that overhangs the map edge leaves its B bits zero, which adds
 //! exactly `popcount(w_tap)` mismatches; the epilogue subtracts them
-//! again through one integer per (level, border class, filter), built
-//! at prep time (`GemmPrep`), so border pixels come out bit for bit as
-//! a bounds-checked conv computes them.  [`xnor_conv2d`] exposes the
-//! engine on raw bit tensors.
+//! again through a prep-time bias row per (level, row border class,
+//! filter) (`GemmPrep`), so border pixels come out bit for bit as a
+//! bounds-checked conv computes them.  Every pass of a conv — the
+//! binarize-pack, the scale-map box filter, the B repack, the GEMM and
+//! the one-sweep epilogue — runs inside one [`isa::Pass`], so the plain
+//! slice sweeps compile at the dispatched backend's SIMD width.
+//! [`xnor_conv2d`] exposes the engine on raw bit tensors.
 //!
 //! [`PackedBnn`] compiles a trained [`BnnResNet`] into this
 //! representation, folding each block's batch normalization into a
@@ -24,6 +27,7 @@
 
 use crate::bitpack::{exact_sign_rule, pack_rules_into, BitFilter, BitTensor, SignRule};
 use crate::block::{BinaryResidualBlock, BnnBlock};
+use crate::kernels::isa::{self, Pass};
 use crate::kernels::{self, active_backend, ConvGeometry, KernelBackend};
 use crate::model::{BnnResNet, MAX_LEVELS};
 use crate::scaling::{box_filter_sliding_into, residual_weight_levels, ScalingMode};
@@ -81,20 +85,22 @@ pub fn xnor_conv2d_backend(
     out.par_chunks_mut(k * oplane).enumerate().for_each_init(
         || global_pool().checkout_guard(),
         |ws, (ni, item)| {
-            let levels = [LevelFilters {
-                filter,
-                alpha: None,
-            }];
-            conv_levels(
+            isa::run(
                 backend,
-                &in_words[ni * item_words..(ni + 1) * item_words],
-                1,
-                &geom,
-                &gemm,
-                &levels,
-                None,
-                ws,
-                item,
+                ConvPass {
+                    backend,
+                    in_words: &in_words[ni * item_words..(ni + 1) * item_words],
+                    n: 1,
+                    geom: &geom,
+                    gp: &gemm,
+                    levels: &[LevelFilters {
+                        filter,
+                        alpha: None,
+                    }],
+                    smap: None,
+                    ws,
+                    out: item,
+                },
             );
         },
     );
@@ -112,9 +118,41 @@ struct LevelFilters<'a> {
 
 /// Pixels per GEMM B tile.  At the deepest reduction this net reaches
 /// (c=64, 3×3 ⇒ 9 dense words) a tile is ≈36 KiB of packed B plus
-/// 8 KiB of accumulators — sized to stay cache-resident while
+/// 8 KiB of accumulators per level — sized to stay cache-resident while
 /// amortizing the pack cost over every filter block × residual level.
 const GEMM_TILE: usize = 1024;
+
+/// [`conv_levels`] as an [`isa::Pass`], for [`xnor_conv2d_backend`].
+struct ConvPass<'a> {
+    backend: KernelBackend,
+    in_words: &'a [u64],
+    n: usize,
+    geom: &'a ConvGeometry,
+    gp: &'a GemmPrep,
+    levels: &'a [LevelFilters<'a>],
+    smap: Option<&'a [f32]>,
+    ws: &'a mut Workspace,
+    out: &'a mut [f32],
+}
+
+impl Pass for ConvPass<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run(self) {
+        conv_levels(
+            self.backend,
+            self.in_words,
+            self.n,
+            self.geom,
+            self.gp,
+            self.levels,
+            self.smap,
+            self.ws,
+            self.out,
+        );
+    }
+}
 
 /// The conv engine: a multi-level binary convolution of `n` packed
 /// items into `[n, k, oh, ow]` `out` (every element overwritten).
@@ -122,15 +160,13 @@ const GEMM_TILE: usize = 1024;
 /// Packs tiles of output pixels — spanning rows *and* batch items —
 /// as dense B columns once, then streams every filter block × residual
 /// level over the same tile through the backend's
-/// [`kernels::PopcountGemm`] microkernel.  The epilogue turns each
-/// mismatch count into `dot = bias − 2·acc`, with the bias of the
-/// pixel's border class (see [`GemmPrep`]), and fuses the
-/// per-channel affine/sign finalize: each output element is finalized
-/// once per level in ascending order (`=` for level 0, `+=` for the
-/// correction planes).  When `smap` is `Some` — the `[n, oh, ow]`
-/// activation scale map — each level's finalize multiplies
-/// `alpha[f] * smap[pixel]`.
+/// [`kernels::PopcountGemm`] microkernel, each level into its own
+/// accumulator rows.  One [`epilogue`] sweep then writes every output
+/// element of the filter block once, from all its levels' mismatch
+/// counts.  When `smap` is `Some` — the `[n, oh, ow]` activation scale
+/// map — each level's term multiplies `alpha[f] * smap[pixel]`.
 #[allow(clippy::too_many_arguments)]
+#[inline(always)]
 fn conv_levels(
     backend: KernelBackend,
     in_words: &[u64],
@@ -158,8 +194,7 @@ fn conv_levels(
             assert_eq!(a.len(), k, "one weight scale per filter");
         }
     }
-    let (oh, ow) = (geom.oh, geom.ow);
-    let oplane = oh * ow;
+    let oplane = geom.oh * geom.ow;
     assert_eq!(
         in_words.len(),
         n * geom.h * geom.w * geom.wpp,
@@ -170,19 +205,16 @@ fn conv_levels(
         assert_eq!(smap.len(), n * oplane, "scale map length mismatch");
     }
     let kd = gp.kdense;
-    let classes = geom.border_classes();
+    let nl = levels.len();
     assert!(
-        gp.a.len() >= levels.len() * k * kd && gp.bias.len() >= levels.len() * classes * k,
+        gp.a.len() >= nl * k * kd && gp.bias_rows.len() >= nl * gp.level_rows,
         "prep holds fewer levels than requested"
     );
-    let (rows, cols) = (geom.row_classes(), geom.col_classes());
-    // The dot-product bias of a pixel whose taps are all in bounds.
-    let full = (kh * kw * fc) as i32;
     let total = n * oplane;
     let gemm = kernels::gemm_backend(backend);
     let np_cap = GEMM_TILE.min(total.max(1));
     let mut b = ws.take_u64(kd * np_cap);
-    let mut acc = ws.take_i32(ACC_PLANES * np_cap);
+    let mut acc = ws.take_i32(nl * ACC_PLANES * np_cap);
     let mut t0 = 0usize;
     while t0 < total {
         let np = np_cap.min(total - t0);
@@ -192,52 +224,32 @@ fn conv_levels(
         let mut ki = 0usize;
         while ki < k {
             let fb = (k - ki).min(ACC_PLANES);
-            for (l, lv) in levels.iter().enumerate() {
+            for l in 0..nl {
                 let a_block = &gp.a[(l * k + ki) * kd..(l * k + ki + fb) * kd];
-                let acc_block = &mut acc[..fb * np];
-                acc_block.fill(0);
-                gemm.gemm_block(acc_block, fb, a_block, b_tile, np, kd);
-                // Epilogue, in three passes over the tile accumulators:
-                // every pixel's dot product as if all its taps were in
-                // bounds; each border run's class correction on top
-                // (zero for the interior run of a row, which is
-                // skipped); then the fused affine/sign finalize, one
-                // call per (filter, item) over contiguous memory.
-                for d in acc_block.iter_mut() {
-                    *d = full - 2 * *d;
-                }
-                let bias_l = &gp.bias[l * classes * k..(l + 1) * classes * k];
-                for_each_subrun(oh, ow, t0, np, |p, _, oy, ox0, len| {
-                    let bias_row = &bias_l[rows.class(oy) * cols.count() * k + ki..];
-                    let mut x = 0;
-                    while x < len {
-                        let (cc, run) = cols.span(ox0 + x);
-                        let end = len.min(x + run);
-                        for f in 0..fb {
-                            let delta = bias_row[cc * k + f] - full;
-                            if delta != 0 {
-                                let row = &mut acc_block[f * np + p..];
-                                for d in &mut row[x..end] {
-                                    *d += delta;
-                                }
-                            }
-                        }
-                        x = end;
-                    }
-                });
-                // Rows of width `oplane` are whole items.
-                for_each_subrun(1, oplane, t0, np, |p, ni, _, off, len| {
-                    let smap_run = smap.map(|s| &s[ni * oplane + off..][..len]);
-                    for f in 0..fb {
-                        finalize_row(
-                            &mut out[(ni * k + ki + f) * oplane + off..][..len],
-                            &acc_block[f * np + p..][..len],
-                            l == 0,
-                            lv.alpha.map(|a| a[ki + f]),
-                            smap_run,
-                        );
-                    }
-                });
+                let acc_l = &mut acc[l * fb * np..(l + 1) * fb * np];
+                acc_l.fill(0);
+                gemm.gemm_block(acc_l, fb, a_block, b_tile, np, kd);
+            }
+            let block = Block {
+                acc: &acc[..nl * fb * np],
+                np,
+                t0,
+                ki,
+                fb,
+                k,
+            };
+            // One instantiation per level count keeps the level loop of
+            // each element unrolled inside a vectorizable pixel loop.
+            match nl {
+                1 => epilogue::<1>(&block, geom, gp, levels, smap, out),
+                2 => epilogue::<2>(&block, geom, gp, levels, smap, out),
+                3 => epilogue::<3>(&block, geom, gp, levels, smap, out),
+                4 => epilogue::<4>(&block, geom, gp, levels, smap, out),
+                5 => epilogue::<5>(&block, geom, gp, levels, smap, out),
+                6 => epilogue::<6>(&block, geom, gp, levels, smap, out),
+                7 => epilogue::<7>(&block, geom, gp, levels, smap, out),
+                8 => epilogue::<8>(&block, geom, gp, levels, smap, out),
+                _ => unreachable!("at most MAX_LEVELS = 8 residual levels"),
             }
             ki += fb;
         }
@@ -247,104 +259,188 @@ fn conv_levels(
     ws.give_u64(b);
 }
 
-/// Finalizes one run of pixels for one (filter, level): `dst[i] =` (or
-/// `+=`, for correction levels) `dot[i] as f32 · scaleᵢ`, where
-/// `scaleᵢ` is `alpha·smap` / `alpha` / `smap` / `1` depending on what
-/// is present.  `dot` holds `bias − 2·acc`, the same i32 as the
-/// bounds-checked `hit·c − 2·mismatches` (see [`GemmPrep`]), and the
-/// float ops are the per-element sequence the single-level passes
-/// always used (`x·a` and `a·(x·1)` round identically, so fusing the
-/// PlainSign correction scale here is bit-exact against the old
-/// `accumulate_scaled` sweep).
-fn finalize_row(
-    dst: &mut [f32],
-    dot: &[i32],
-    first: bool,
-    alpha_f: Option<f32>,
-    srow: Option<&[f32]>,
+// `conv_levels` instantiates its epilogue for every level count up to
+// this bound.
+const _: () = assert!(MAX_LEVELS == 8);
+
+/// The GEMM accumulators of one (tile, filter block): level `l`, filter
+/// `ki + f` holds the mismatch count of tile pixel `p` at
+/// `acc[(l·fb + f)·np + p]`.
+struct Block<'a> {
+    acc: &'a [i32],
+    np: usize,
+    t0: usize,
+    ki: usize,
+    fb: usize,
+    k: usize,
+}
+
+/// The epilogue of one (tile, filter block): one sweep per output row
+/// run and filter that writes each element once from its `L` levels'
+/// mismatch counts (see [`finalize_run`]).  The border correction needs
+/// no per-pixel bookkeeping: the row run's bias row (`GemmPrep`) holds
+/// every column's exact dot-product bias for the run's row class.
+#[inline(always)]
+fn epilogue<const L: usize>(
+    block: &Block,
+    geom: &ConvGeometry,
+    gp: &GemmPrep,
+    levels: &[LevelFilters],
+    smap: Option<&[f32]>,
+    out: &mut [f32],
 ) {
-    #[inline]
-    fn write(o: &mut f32, d: i32, scale: f32, first: bool) {
-        let v = d as f32 * scale;
-        if first {
-            *o = v;
-        } else {
-            *o += v;
+    let Block {
+        acc,
+        np,
+        t0,
+        ki,
+        fb,
+        k,
+    } = *block;
+    let (oh, ow) = (geom.oh, geom.ow);
+    let oplane = oh * ow;
+    let rows = geom.row_classes();
+    for run in Subruns::new(oh, ow, t0, np) {
+        let pix = run.oy * ow + run.ox0;
+        let bias_row = rows.class(run.oy) * k * ow + run.ox0;
+        let srun = smap.map(|s| &s[run.ni * oplane + pix..][..run.len]);
+        for f in 0..fb {
+            let kf = ki + f;
+            let dst = &mut out[(run.ni * k + kf) * oplane + pix..][..run.len];
+            let mut dots: [&[i32]; L] = [&[]; L];
+            let mut bias: [&[i32]; L] = [&[]; L];
+            let mut alpha = [1.0f32; L];
+            for l in 0..L {
+                dots[l] = &acc[(l * fb + f) * np + run.p..][..run.len];
+                bias[l] = &gp.bias_rows[l * gp.level_rows + bias_row + kf * ow..][..run.len];
+                if let Some(a) = levels[l].alpha {
+                    alpha[l] = a[kf];
+                }
+            }
+            finalize_run(dst, &dots, &bias, &alpha, srun);
         }
     }
-    match (alpha_f, srow) {
-        (None, None) => {
-            for (o, &d) in dst.iter_mut().zip(dot) {
-                write(o, d, 1.0, first);
+}
+
+/// Writes `dst[i] = Σ_l (bias_l[i] − 2·acc_l[i]) as f32 · (α_l ·
+/// smap[i])` (just `· α_l` without a scale map; a missing α is `1.0`),
+/// levels ascending: level 0 assigns, each further level adds.
+///
+/// `bias − 2·acc` is exactly the bounds-checked `hit·c − 2·mismatches`
+/// (see [`GemmPrep`]), and each element performs the float ops the
+/// level-by-level finalize always did, in the same order — one convert,
+/// one multiply per level (after `α·s`), one add per level beyond the
+/// first — so writing each element once instead of once per level
+/// changes no bit.  (`x·1.0` rounds to `x`, so the placeholder scale of
+/// an unscaled PlainSign level 0 is exact too.)
+#[inline(always)]
+fn finalize_run<const L: usize>(
+    dst: &mut [f32],
+    acc: &[&[i32]; L],
+    bias: &[&[i32]; L],
+    alpha: &[f32; L],
+    smap: Option<&[f32]>,
+) {
+    let n = dst.len();
+    for l in 0..L {
+        assert!(
+            acc[l].len() == n && bias[l].len() == n,
+            "epilogue row length"
+        );
+    }
+    match smap {
+        Some(s) => {
+            let s = &s[..n];
+            for i in 0..n {
+                let mut v = (bias[0][i] - 2 * acc[0][i]) as f32 * (alpha[0] * s[i]);
+                for l in 1..L {
+                    v += (bias[l][i] - 2 * acc[l][i]) as f32 * (alpha[l] * s[i]);
+                }
+                dst[i] = v;
             }
         }
-        (Some(a), None) => {
-            for (o, &d) in dst.iter_mut().zip(dot) {
-                write(o, d, a, first);
-            }
-        }
-        (Some(a), Some(srow)) => {
-            for ((o, &d), &s) in dst.iter_mut().zip(dot).zip(srow) {
-                write(o, d, a * s, first);
-            }
-        }
-        (None, Some(srow)) => {
-            for ((o, &d), &s) in dst.iter_mut().zip(dot).zip(srow) {
-                write(o, d, s, first);
+        None => {
+            for i in 0..n {
+                let mut v = (bias[0][i] - 2 * acc[0][i]) as f32 * alpha[0];
+                for l in 1..L {
+                    v += (bias[l][i] - 2 * acc[l][i]) as f32 * alpha[l];
+                }
+                dst[i] = v;
             }
         }
     }
 }
 
-/// Decomposes the linear tile index range `[t0, t0 + np)` into maximal
-/// subruns of consecutive output columns sharing one `(item, output
-/// row)`, calling `f(p, ni, oy, ox0, len)` for each (`p` is the offset
-/// inside the tile).  The linear index enumerates `[item][row][column]`
-/// of the `oh × ow` output plane, so GEMM tiles span row and item
-/// boundaries with pure div/mod bookkeeping — no run lists are ever
-/// allocated.
-fn for_each_subrun(
+/// A maximal run of consecutive output columns of one `(item, output
+/// row)` inside a GEMM tile: tile offsets `p..p + len` hold columns
+/// `ox0..ox0 + len` of row `oy` of item `ni`.
+#[derive(Clone, Copy)]
+struct Subrun {
+    p: usize,
+    ni: usize,
+    oy: usize,
+    ox0: usize,
+    len: usize,
+}
+
+/// Decomposes the linear tile index range `[t0, t0 + np)` into
+/// [`Subrun`]s.  The linear index enumerates `[item][row][column]` of
+/// the `oh × ow` output plane, so GEMM tiles span row and item
+/// boundaries; one div/mod locates the tile's first pixel and every
+/// later run starts a row further on — no run lists are ever
+/// allocated.  An iterator rather than a callback, so the loops over
+/// its runs compile inside the caller's instruction-set instantiation.
+struct Subruns {
     oh: usize,
     ow: usize,
-    t0: usize,
+    ni: usize,
+    oy: usize,
+    ox0: usize,
+    p: usize,
     np: usize,
-    mut f: impl FnMut(usize, usize, usize, usize, usize),
-) {
-    let mut p = 0usize;
-    let mut t = t0;
-    while p < np {
-        let g = t / ow;
-        let ox0 = t % ow;
-        let len = (ow - ox0).min(np - p);
-        f(p, g / oh, g % oh, ox0, len);
-        p += len;
-        t += len;
+}
+
+impl Subruns {
+    #[inline(always)]
+    fn new(oh: usize, ow: usize, t0: usize, np: usize) -> Self {
+        let g = t0 / ow;
+        Subruns {
+            oh,
+            ow,
+            ni: g / oh,
+            oy: g % oh,
+            ox0: t0 % ow,
+            p: 0,
+            np,
+        }
     }
 }
 
-/// Calls `f(p, pix, len)` for every stretch of tile pixels `[t0, t0 +
-/// np)` whose tap `(ky, kx)` lands in bounds: tile offsets `p..p + len`
-/// read the input pixels `pix, pix + stride, …` (flat `[item][row]
-/// [col]` pixel index).  Pixels whose tap overhangs the map edge —
-/// outside the tap's [`TapRange`](kernels::geom::TapRange) — are
-/// skipped.
-fn for_each_tap_run(
-    geom: &ConvGeometry,
-    ky: usize,
-    kx: usize,
-    t0: usize,
-    np: usize,
-    mut f: impl FnMut(usize, usize, usize),
-) {
-    let tr = geom.tap_range(ky, kx);
-    for_each_subrun(geom.oh, geom.ow, t0, np, |p, ni, oy, ox0, len| {
-        let (lo, hi) = (ox0.max(tr.ox_lo), (ox0 + len).min(tr.ox_hi));
-        if (tr.oy_lo..tr.oy_hi).contains(&oy) && lo < hi {
-            let iy = oy * geom.stride + ky - geom.pad;
-            let ix = lo * geom.stride + kx - geom.pad;
-            f(p + lo - ox0, (ni * geom.h + iy) * geom.w + ix, hi - lo);
+impl Iterator for Subruns {
+    type Item = Subrun;
+
+    #[inline(always)]
+    fn next(&mut self) -> Option<Subrun> {
+        if self.p >= self.np {
+            return None;
         }
-    });
+        let len = (self.ow - self.ox0).min(self.np - self.p);
+        let run = Subrun {
+            p: self.p,
+            ni: self.ni,
+            oy: self.oy,
+            ox0: self.ox0,
+            len,
+        };
+        self.p += len;
+        self.ox0 = 0;
+        self.oy += 1;
+        if self.oy == self.oh {
+            self.oy = 0;
+            self.ni += 1;
+        }
+        Some(run)
+    }
 }
 
 /// Appends the dense A rows of `filter` to `a` — per filter, the
@@ -405,41 +501,48 @@ fn dense_filter_words(filter: &BitFilter, a: &mut Vec<u64>, pc: &mut [i32]) {
 /// 2·acc` for `bias = hit·c + 2·Σ_oob popcount(w_tap)`.  Which taps
 /// are out of bounds depends only on the pixel's border class (row
 /// tap-validity × column tap-validity, see
-/// [`AxisClasses`](kernels::geom::AxisClasses)), so one integer per
-/// (level, class, filter) covers the plane; interior pixels get
-/// `kh·kw·c`.
+/// [`AxisClasses`](kernels::geom::AxisClasses)); interior pixels get
+/// `kh·kw·c`.  The epilogue reads the bias as one row per (level, row
+/// class, filter) holding every output column's value, so a sweep over
+/// a row run needs no per-pixel class lookup.
 #[derive(Debug, Clone)]
 struct GemmPrep {
     /// Dense reduction words per filter (`⌈c·kh·kw/64⌉`).
     kdense: usize,
     /// `k * kdense` dense filter words per level, levels back to back.
     a: Vec<u64>,
-    /// `bias[(level · classes + class) · k + f]`.
-    bias: Vec<i32>,
+    /// `bias_rows[l·level_rows + (row_class·k + f)·ow + ox]`: the
+    /// dot-product bias of filter `f` at level `l` for output column
+    /// `ox` of a row in `row_class`.
+    bias_rows: Vec<i32>,
+    /// Bias-row entries per level: `row classes · k · ow`.
+    level_rows: usize,
 }
 
 impl GemmPrep {
     /// Repacks one filter plane per residual level, level 0 first, and
-    /// builds its bias table for `geom`'s border classes — in
-    /// O(filters × classes) adds from per-tap popcounts, with one
-    /// allocation per table.
+    /// builds its bias rows for `geom`'s border classes — in
+    /// O(filters × classes) adds from per-tap popcounts, then one write
+    /// per row entry.
     fn new(geom: &ConvGeometry, levels: &[&BitFilter]) -> GemmPrep {
-        let (kh, kw) = (geom.kh, geom.kw);
+        let (kh, kw, ow) = (geom.kh, geom.kw, geom.ow);
         let (rows, cols) = (geom.row_classes(), geom.col_classes());
         let k = levels[0].dims().0;
         let kdense = (geom.c * kh * kw).div_ceil(64);
+        let level_rows = rows.count() * k * ow;
         let mut a = Vec::with_capacity(levels.len() * k * kdense);
-        let mut bias = Vec::with_capacity(levels.len() * geom.border_classes() * k);
+        let mut bias_rows = Vec::with_capacity(levels.len() * level_rows);
         let mut pc = vec![0i32; kh * kw * k];
+        // `bias[cc · k + f]` for the row class being expanded.
+        let mut bias = vec![0i32; cols.count() * k];
         for filter in levels {
             dense_filter_words(filter, &mut a, &mut pc);
             for rc in 0..rows.count() {
                 for cc in 0..cols.count() {
                     let (rm, cm) = (rows.mask(rc), cols.mask(cc));
                     let hit = (rm.count_ones() * cm.count_ones()) as i32;
-                    let start = bias.len();
-                    bias.resize(start + k, hit * geom.c as i32);
-                    let row = &mut bias[start..];
+                    let row = &mut bias[cc * k..(cc + 1) * k];
+                    row.fill(hit * geom.c as i32);
                     for ky in 0..kh {
                         for kx in 0..kw {
                             if (rm >> ky) & (cm >> kx) & 1 == 0 {
@@ -451,9 +554,17 @@ impl GemmPrep {
                         }
                     }
                 }
+                for f in 0..k {
+                    bias_rows.extend((0..ow).map(|ox| bias[cols.class(ox) * k + f]));
+                }
             }
         }
-        GemmPrep { kdense, a, bias }
+        GemmPrep {
+            kdense,
+            a,
+            bias_rows,
+            level_rows,
+        }
     }
 }
 
@@ -464,7 +575,8 @@ impl GemmPrep {
 /// (`b[j*np + p]`) so the GEMM microkernels load consecutive pixels
 /// with one vector load.  `b[..kdense*np]` must be pre-zeroed; the
 /// bits of taps that overhang the map edge stay zero (see
-/// [`GemmPrep`] for the correction).
+/// [`GemmPrep`] for the correction).  Each tap's in-bounds stretch of a
+/// row is one mask-shift-or sweep ([`or_tap_run`]).
 ///
 /// Bit-exactness: the dense layout carries exactly the same bit
 /// multiset as the sparse tap words — the channel-padding high bits
@@ -472,6 +584,7 @@ impl GemmPrep {
 /// defensively) — so `Σ_j popcount(a_dense ^ b_dense)` over a pixel's
 /// in-bounds taps equals the per-tap mismatch sum of a bounds-checked
 /// tap-word walk, word alignment notwithstanding.
+#[inline(always)]
 fn pack_b_tile(in_words: &[u64], geom: &ConvGeometry, t0: usize, np: usize, b: &mut [u64]) {
     let (c, stride, wpp) = (geom.c, geom.stride, geom.wpp);
     let (kh, kw) = (geom.kh, geom.kw);
@@ -479,6 +592,7 @@ fn pack_b_tile(in_words: &[u64], geom: &ConvGeometry, t0: usize, np: usize, b: &
     let mut off = 0usize;
     for ky in 0..kh {
         for kx in 0..kw {
+            let tr = geom.tap_range(ky, kx);
             for wi in 0..wpp {
                 let nbits = (c - wi * 64).min(64);
                 let msk = if nbits == 64 {
@@ -486,36 +600,39 @@ fn pack_b_tile(in_words: &[u64], geom: &ConvGeometry, t0: usize, np: usize, b: &
                 } else {
                     (1u64 << nbits) - 1
                 };
-                if off != 0 && off + nbits > 64 {
-                    // Tap word straddles two dense rows (c % 64 not a
-                    // divisor of 64 — never the case for power-of-two
-                    // widths, so this path is cold).
-                    let (head, tail) = b.split_at_mut((j + 1) * np);
-                    let d = &mut head[j * np..];
-                    let d2 = &mut tail[..np];
-                    for_each_tap_run(geom, ky, kx, t0, np, |p, pix, len| {
+                // A tap word straddles two dense rows when c % 64 does
+                // not divide 64 — never for power-of-two widths, so
+                // that path is cold.
+                let straddle = off != 0 && off + nbits > 64;
+                for run in Subruns::new(geom.oh, geom.ow, t0, np) {
+                    let lo = run.ox0.max(tr.ox_lo);
+                    let hi = (run.ox0 + run.len).min(tr.ox_hi);
+                    if !(tr.oy_lo..tr.oy_hi).contains(&run.oy) || lo >= hi {
+                        continue;
+                    }
+                    let iy = run.oy * stride + ky - geom.pad;
+                    let ix = lo * stride + kx - geom.pad;
+                    let pix = (run.ni * geom.h + iy) * geom.w + ix;
+                    let (p, len) = (run.p + lo - run.ox0, hi - lo);
+                    if straddle {
+                        let (head, tail) = b.split_at_mut((j + 1) * np);
                         for i in 0..len {
                             let word = in_words[(pix + i * stride) * wpp + wi] & msk;
-                            d[p + i] |= word << off;
-                            d2[p + i] |= word >> (64 - off);
+                            head[j * np + p + i] |= word << off;
+                            tail[p + i] |= word >> (64 - off);
                         }
-                    });
-                } else {
-                    let d = &mut b[j * np..(j + 1) * np];
-                    for_each_tap_run(geom, ky, kx, t0, np, |p, pix, len| {
-                        if stride == 1 && wpp == 1 {
-                            // Contiguous source: a plain mask-shift-or
-                            // sweep the compiler auto-vectorizes.
-                            let src = &in_words[pix..][..len];
-                            for (dd, &s) in d[p..p + len].iter_mut().zip(src) {
-                                *dd |= (s & msk) << off;
-                            }
-                        } else {
-                            for i in 0..len {
-                                d[p + i] |= (in_words[(pix + i * stride) * wpp + wi] & msk) << off;
+                        continue;
+                    }
+                    let d = &mut b[j * np + p..][..len];
+                    match (wpp, stride) {
+                        (1, 1) => or_tap_run::<1>(d, &in_words[pix..], msk, off),
+                        (1, 2) => or_tap_run::<2>(d, &in_words[pix..], msk, off),
+                        _ => {
+                            for (i, dd) in d.iter_mut().enumerate() {
+                                *dd |= (in_words[(pix + i * stride) * wpp + wi] & msk) << off;
                             }
                         }
-                    });
+                    }
                 }
                 off += nbits;
                 if off >= 64 {
@@ -526,6 +643,18 @@ fn pack_b_tile(in_words: &[u64], geom: &ConvGeometry, t0: usize, np: usize, b: &
         }
     }
     debug_assert_eq!(j * 64 + off, c * kh * kw);
+}
+
+/// `d[i] |= (src[S·i] & msk) << off`: one tap's run of single-word
+/// pixels, `S` input columns apart.  The last pixel's `S`-word group
+/// may end past the row, so it is read on its own.
+#[inline(always)]
+fn or_tap_run<const S: usize>(d: &mut [u64], src: &[u64], msk: u64, off: usize) {
+    let (last, head) = d.split_last_mut().expect("a tap run covers a pixel");
+    for (dd, group) in head.iter_mut().zip(src.chunks_exact(S)) {
+        *dd |= (group[0] & msk) << off;
+    }
+    *last |= (src[S * head.len()] & msk) << off;
 }
 
 /// The bounds-checked per-pixel conv that the GEMM engine replaced, kept
@@ -614,7 +743,8 @@ mod border {
         (hit * c as i32 - 2 * mism) as f32 * scale
     }
 
-    /// Scalar form of [`finalize_row`](super::finalize_row) for border pixels.
+    /// Scalar form of [`finalize_run`](super::finalize_run) for border
+    /// pixels, one level at a time.
     #[inline]
     #[allow(clippy::too_many_arguments)]
     fn finalize_one(
@@ -989,7 +1119,8 @@ impl PackedConv {
     /// mean together, then box-filters it with the O(1) sliding window.
     /// Every output pixel of all `n` items then runs through one
     /// bit-sliced XNOR-GEMM, border pixels included, at every batch
-    /// size (see the module docs).
+    /// size (see the module docs).  The whole call is one
+    /// [`isa::Pass`], compiled for the prep's backend.
     ///
     /// # Panics
     ///
@@ -1003,19 +1134,17 @@ impl PackedConv {
         ws: &mut Workspace,
         out: &mut [f32],
     ) {
-        self.forward_with(prep, x, n, ws, out, |words, levels, smap, ws, out| {
-            conv_levels(
-                prep.backend,
-                words,
+        isa::run(
+            prep.backend,
+            ForwardPass {
+                conv: self,
+                prep,
+                x,
                 n,
-                &prep.geom,
-                &prep.gemm,
-                levels,
-                smap,
                 ws,
                 out,
-            )
-        });
+            },
+        );
     }
 
     /// Test oracle for [`PackedConv::forward_prepped`]: the same
@@ -1038,23 +1167,32 @@ impl PackedConv {
         ws: &mut Workspace,
         out: &mut [f32],
     ) {
-        self.forward_with(prep, x, n, ws, out, |words, levels, smap, _, out| {
-            border::border_levels(words, n, &prep.geom, None, levels, smap, out)
-        });
+        let input = self.binarize(prep, x, n, ws, out.len());
+        border::border_levels(
+            &input.words,
+            n,
+            &prep.geom,
+            None,
+            input.levels(),
+            input.smap.as_deref(),
+            out,
+        );
+        input.release(ws);
     }
 
     /// Binarizes and packs `x` (batch-norm affine fused), builds the
-    /// residual level table, and hands the packed words, the levels and
-    /// the activation scale map (scaled modes) to `conv`.
-    fn forward_with(
-        &self,
+    /// residual level table, and, in the scaled modes, the activation
+    /// scale map — everything a conv engine needs besides the prep.
+    /// `out_len` is the caller's output length, checked here.
+    #[inline(always)]
+    fn binarize<'a>(
+        &'a self,
         prep: &ConvPrep,
         x: &[f32],
         n: usize,
         ws: &mut Workspace,
-        out: &mut [f32],
-        conv: impl FnOnce(&[u64], &[LevelFilters], Option<&[f32]>, &mut Workspace, &mut [f32]),
-    ) {
+        out_len: usize,
+    ) -> Binarized<'a> {
         let c = self.bn_scale.len();
         let geom = &prep.geom;
         assert_eq!(
@@ -1067,7 +1205,7 @@ impl PackedConv {
         assert_eq!(x.len(), n * c * plane, "input length mismatch");
         let oplane = geom.oh * geom.ow;
         let ko = self.alpha_w.len();
-        assert_eq!(out.len(), n * ko * oplane, "output length mismatch");
+        assert_eq!(out_len, n * ko * oplane, "output length mismatch");
         let wpp = geom.wpp;
         let mut words = ws.take_u64(n * plane * wpp);
 
@@ -1136,12 +1274,81 @@ impl PackedConv {
             ws.give_f32(mean);
             smap = Some(sm);
         }
+        Binarized {
+            words,
+            smap,
+            lv,
+            nl,
+        }
+    }
+}
 
-        conv(&words, &lv[..nl], smap.as_deref(), ws, out);
-        if let Some(sm) = smap {
+/// A conv's binarized input (see [`PackedConv::binarize`]): packed sign
+/// words, the scaled modes' activation scale map, and the residual
+/// level table.  The buffers come from a workspace and go back with
+/// [`Binarized::release`].
+struct Binarized<'a> {
+    words: Vec<u64>,
+    smap: Option<Vec<f32>>,
+    lv: [LevelFilters<'a>; MAX_LEVELS],
+    nl: usize,
+}
+
+impl<'a> Binarized<'a> {
+    /// The executed residual levels, level 0 first.
+    #[inline(always)]
+    fn levels(&self) -> &[LevelFilters<'a>] {
+        &self.lv[..self.nl]
+    }
+
+    /// Returns the buffers to `ws`.
+    #[inline(always)]
+    fn release(self, ws: &mut Workspace) {
+        if let Some(sm) = self.smap {
             ws.give_f32(sm);
         }
-        ws.give_u64(words);
+        ws.give_u64(self.words);
+    }
+}
+
+/// One [`PackedConv::forward_prepped`] call as an [`isa::Pass`]: the
+/// binarize-pack, the box filter, the B repack, the GEMM and the
+/// epilogue, all compiled for the prep's backend.
+struct ForwardPass<'a> {
+    conv: &'a PackedConv,
+    prep: &'a ConvPrep,
+    x: &'a [f32],
+    n: usize,
+    ws: &'a mut Workspace,
+    out: &'a mut [f32],
+}
+
+impl Pass for ForwardPass<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run(self) {
+        let ForwardPass {
+            conv,
+            prep,
+            x,
+            n,
+            ws,
+            out,
+        } = self;
+        let input = conv.binarize(prep, x, n, ws, out.len());
+        conv_levels(
+            prep.backend,
+            &input.words,
+            n,
+            &prep.geom,
+            &prep.gemm,
+            input.levels(),
+            input.smap.as_deref(),
+            ws,
+            out,
+        );
+        input.release(ws);
     }
 }
 

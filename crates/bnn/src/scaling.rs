@@ -152,15 +152,24 @@ pub fn box_filter_into(
 /// `colsum[x]` holds the vertical window sum of column `x` for the
 /// current output row; moving to the next row subtracts departing rows
 /// and adds entering ones.  Each output pixel then sums its `kw` column
-/// sums left-to-right — deliberately *not* a horizontal running sum, so
-/// every output value is a pure function of its own column span.  This
-/// makes the map translation-invariant at the bit level: filtering a
-/// wide plane and filtering a cropped window of it produce identical
-/// f32 values wherever their spans coincide.  Sums are kept in `f64` so the
-/// incremental row subtract/add introduces no drift against the
-/// windowed values (and a final `max(0.0)` clamp guarantees
-/// non-negative maps for non-negative input planes regardless of
-/// rounding).
+/// sums left-to-right from `0.0` — deliberately *not* a horizontal
+/// running sum — so every output value is a pure function of its own
+/// column span.  Sums are kept in `f64` so the incremental row
+/// subtract/add introduces no drift against the windowed values (and a
+/// final `max(0.0)` clamp guarantees non-negative maps for
+/// non-negative input planes regardless of rounding).  The summation
+/// order stays as written because the committed golden outputs
+/// (`tests/golden_outputs.txt`) pin its bits.
+///
+/// Every step is a sweep over whole rows: the column-sum updates run
+/// over `colsum`, and the output columns whose window lies wholly in
+/// bounds sum `kw` shifted `colsum` slices (stride 1 and 2, `kw` ≤ 3,
+/// the shapes every conv of the paper net uses); only the clamped edge
+/// columns, and other shapes, sum one pixel at a time.  Each lane still
+/// performs `((0.0 + cs[x0]) + cs[x0 + 1]) + …`, then `max`, `× inv`
+/// and `as f32`, so the vector body is bit-exact against the per-pixel
+/// loop at any SIMD width ([`crate::kernels`] compiles it once per x86
+/// backend inside the conv engine).
 ///
 /// `colsum` is caller-provided `w`-length scratch (contents ignored) so
 /// the packed inference path can run allocation-free; `out` is the
@@ -171,6 +180,7 @@ pub fn box_filter_into(
 /// Panics when a slice length disagrees with the dimensions or
 /// `stride == 0`.
 #[allow(clippy::too_many_arguments)]
+#[inline(always)]
 pub fn box_filter_sliding_into(
     plane: &[f32],
     h: usize,
@@ -195,6 +205,14 @@ pub fn box_filter_sliding_into(
         let hi = (o * stride + k).saturating_sub(pad).min(dim);
         (lo, hi)
     };
+    // Output columns `ox_lo..ox_hi` see all `kw` columns in bounds.
+    let ox_lo = pad.div_ceil(stride).min(ow);
+    let ox_hi = if w + pad >= kw {
+        ((w + pad - kw) / stride + 1).min(ow)
+    } else {
+        0
+    }
+    .max(ox_lo);
     let mut prev_rows = (0usize, 0usize);
     for oy in 0..oh {
         let (y0, y1) = span(oy, kh, h);
@@ -222,14 +240,52 @@ pub fn box_filter_sliding_into(
         }
         prev_rows = (y0, y1);
         let row_out = &mut out[oy * ow..(oy + 1) * ow];
-        for (ox, slot) in row_out.iter_mut().enumerate() {
+        let pixel = |ox: usize| {
             let (x0, x1) = span(ox, kw, w);
             let mut hsum = 0.0f64;
             for &cs in &colsum[x0..x1] {
                 hsum += cs;
             }
-            *slot = (hsum.max(0.0) * inv) as f32;
+            (hsum.max(0.0) * inv) as f32
+        };
+        for ox in (0..ox_lo).chain(ox_hi..ow) {
+            row_out[ox] = pixel(ox);
         }
+        let interior = &mut row_out[ox_lo..ox_hi];
+        if interior.is_empty() {
+            continue;
+        }
+        let cs = &colsum[ox_lo * stride - pad..];
+        match (kw, stride) {
+            (1, 1) => box_row::<1, 1>(cs, inv, interior),
+            (2, 1) => box_row::<2, 1>(cs, inv, interior),
+            (3, 1) => box_row::<3, 1>(cs, inv, interior),
+            (1, 2) => box_row::<1, 2>(cs, inv, interior),
+            (2, 2) => box_row::<2, 2>(cs, inv, interior),
+            (3, 2) => box_row::<3, 2>(cs, inv, interior),
+            _ => {
+                for (ox, slot) in (ox_lo..ox_hi).zip(interior) {
+                    *slot = pixel(ox);
+                }
+            }
+        }
+    }
+}
+
+/// `out[i] = (((0.0 + cs[S·i]) + cs[S·i + 1]) + … + cs[S·i + K − 1])
+/// .max(0.0) · inv as f32` — the in-bounds output columns of one
+/// box-filter row, as `K` shifted sweeps over `cs` fused into one pass.
+#[inline(always)]
+fn box_row<const K: usize, const S: usize>(cs: &[f64], inv: f64, out: &mut [f32]) {
+    let n = out.len();
+    // Tap `t` of output `i` reads `taps[t][S·i]`.
+    let taps: [&[f64]; K] = std::array::from_fn(|t| &cs[t..t + S * (n - 1) + 1]);
+    for (i, o) in out.iter_mut().enumerate() {
+        let mut hsum = 0.0f64;
+        for tap in &taps {
+            hsum += tap[S * i];
+        }
+        *o = (hsum.max(0.0) * inv) as f32;
     }
 }
 
@@ -379,6 +435,8 @@ pub fn input_scale_shared(x: &Tensor, kh: usize, kw: usize) -> Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::isa::{self, Pass};
+    use crate::kernels::KernelBackend;
 
     #[test]
     fn weight_scale_is_mean_abs() {
@@ -496,6 +554,162 @@ mod tests {
                                 (g - e).abs() <= 1e-5 * e.abs().max(1.0),
                                 "h={h} w={w} k={k} s={stride} p={pad} i={i}: {g} vs {e}"
                             );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The per-pixel sliding filter every map came from before its
+    /// rows became sweeps; the bit-level reference for
+    /// [`box_filter_sliding_into`].
+    #[allow(clippy::too_many_arguments)]
+    fn box_filter_reference(
+        plane: &[f32],
+        h: usize,
+        w: usize,
+        kh: usize,
+        kw: usize,
+        stride: usize,
+        pad: usize,
+        out: &mut [f32],
+    ) {
+        let oh = (h + 2 * pad - kh) / stride + 1;
+        let ow = (w + 2 * pad - kw) / stride + 1;
+        assert_eq!(out.len(), oh * ow);
+        let mut colsum = vec![0.0f64; w];
+        let inv = 1.0 / (kh * kw) as f64;
+        let span = |o: usize, k: usize, dim: usize| {
+            let lo = (o * stride).saturating_sub(pad).min(dim);
+            let hi = (o * stride + k).saturating_sub(pad).min(dim);
+            (lo, hi)
+        };
+        let mut prev_rows = (0usize, 0usize);
+        for oy in 0..oh {
+            let (y0, y1) = span(oy, kh, h);
+            if oy == 0 {
+                colsum.fill(0.0);
+                for y in y0..y1 {
+                    for (cs, &v) in colsum.iter_mut().zip(&plane[y * w..(y + 1) * w]) {
+                        *cs += v as f64;
+                    }
+                }
+            } else {
+                for y in prev_rows.0..y0.min(prev_rows.1) {
+                    for (cs, &v) in colsum.iter_mut().zip(&plane[y * w..(y + 1) * w]) {
+                        *cs -= v as f64;
+                    }
+                }
+                for y in prev_rows.1.max(y0)..y1 {
+                    for (cs, &v) in colsum.iter_mut().zip(&plane[y * w..(y + 1) * w]) {
+                        *cs += v as f64;
+                    }
+                }
+            }
+            prev_rows = (y0, y1);
+            for (ox, slot) in out[oy * ow..(oy + 1) * ow].iter_mut().enumerate() {
+                let (x0, x1) = span(ox, kw, w);
+                let mut hsum = 0.0f64;
+                for &cs in &colsum[x0..x1] {
+                    hsum += cs;
+                }
+                *slot = (hsum.max(0.0) * inv) as f32;
+            }
+        }
+    }
+
+    /// One box filter call, compiled for a backend's instruction set.
+    struct BoxPass<'a> {
+        plane: &'a [f32],
+        hw: (usize, usize),
+        k: usize,
+        stride: usize,
+        pad: usize,
+        colsum: &'a mut [f64],
+        out: &'a mut [f32],
+    }
+
+    impl Pass for BoxPass<'_> {
+        type Output = ();
+
+        #[inline(always)]
+        fn run(self) {
+            let (h, w) = self.hw;
+            box_filter_sliding_into(
+                self.plane,
+                h,
+                w,
+                self.k,
+                self.k,
+                self.stride,
+                self.pad,
+                self.colsum,
+                self.out,
+            );
+        }
+    }
+
+    #[test]
+    fn box_filter_rows_match_reference_bitwise_on_every_kernel_backend() {
+        // Widths around every vector width and around the paper net's
+        // 128; planes mix exact zeros, subnormals, magnitudes from 1e-30
+        // to 1e30 and negative values that cancel them, so a lane that
+        // summed in another order or in f32 would change a bit.
+        let mut state = 0x5eed_u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 11
+        };
+        let widths: Vec<usize> = (1..=17).chain(127..=129).collect();
+        for &w in &widths {
+            for h in [1usize, 2, 5] {
+                let plane: Vec<f32> = (0..h * w)
+                    .map(|_| match next() % 10 {
+                        0 | 1 => 0.0,
+                        2 => f32::from_bits(1 + (next() % 1000) as u32), // subnormal
+                        3 => 1e30 * (next() % 7) as f32,
+                        4 => -1e30 * (next() % 7) as f32,
+                        5 => 1e-30 * (next() % 7 + 1) as f32,
+                        _ => (next() % 100_000) as f32 / 997.0,
+                    })
+                    .collect();
+                for k in 1..=3usize {
+                    for stride in 1..=3usize {
+                        for pad in 0..=2usize {
+                            if h + 2 * pad < k || w + 2 * pad < k {
+                                continue;
+                            }
+                            let oh = (h + 2 * pad - k) / stride + 1;
+                            let ow = (w + 2 * pad - k) / stride + 1;
+                            let mut expect = vec![0.0f32; oh * ow];
+                            box_filter_reference(&plane, h, w, k, k, stride, pad, &mut expect);
+                            let expect: Vec<u32> = expect.iter().map(|v| v.to_bits()).collect();
+                            for backend in KernelBackend::available() {
+                                let mut got = vec![-1.0f32; oh * ow];
+                                let mut colsum = vec![f64::NAN; w];
+                                isa::run(
+                                    backend,
+                                    BoxPass {
+                                        plane: &plane,
+                                        hw: (h, w),
+                                        k,
+                                        stride,
+                                        pad,
+                                        colsum: &mut colsum,
+                                        out: &mut got,
+                                    },
+                                );
+                                let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+                                assert_eq!(
+                                    got,
+                                    expect,
+                                    "{} h={h} w={w} k={k} s={stride} p={pad}",
+                                    backend.name()
+                                );
+                            }
                         }
                     }
                 }

@@ -647,6 +647,52 @@ fn small_f32s(state: &mut u64, len: usize) -> Vec<f32> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(2))]
 
+    /// The conv engine at the paper net's widest maps: 128 and 129
+    /// output columns, so the B repack's tap runs, the epilogue sweep
+    /// and the box filter's shifted-slice rows run full vector bodies
+    /// (and their tails) on every compiled-in backend, against the
+    /// bounds-checked oracle.  Covers the 3×3 stride-1 and stride-2
+    /// convs and the 1×1 stride-2 shortcut; each draws its channel
+    /// count, level count M ∈ {1, 2, 3}, scaling mode and n ∈ {1, 2}
+    /// from the case seed.
+    #[test]
+    fn batched_conv_wide_map_matches_oracle(seed in 0u64..1 << 32) {
+        let st = &mut seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(29);
+        let backends = KernelBackend::available();
+        for (k, stride, pad) in [(3usize, 1usize, 1usize), (3, 2, 1), (1, 2, 0)] {
+            for w in [128usize, 129, 256] {
+                let h = 3;
+                let c = [1usize, 8, 16][next_u64(st) as usize % 3];
+                let levels = 1 + next_u64(st) as usize % 3;
+                let scaling = if next_u64(st) & 1 == 0 {
+                    ScalingMode::PlainSign
+                } else {
+                    ScalingMode::PerChannel
+                };
+                let n = 1 + next_u64(st) as usize % 2;
+                let conv = random_conv(st, c, 6, k, stride, pad, levels, scaling);
+                let x = small_f32s(st, n * c * h * w);
+                let (oh, ow) = conv.output_hw(h, w);
+                let out_len = n * 6 * oh * ow;
+                let mut expect = vec![0.0f32; out_len];
+                let prep = conv.prepare_with_backend(h, w, KernelBackend::Scalar);
+                conv.forward_reference(&prep, &x, n, &mut Workspace::new(), &mut expect);
+                let expect: Vec<u32> = expect.iter().map(|v| v.to_bits()).collect();
+                for &backend in &backends {
+                    let prep = conv.prepare_with_backend(h, w, backend);
+                    let mut got = vec![0.0f32; out_len];
+                    conv.forward_prepped(&prep, &x, n, &mut Workspace::new(), &mut got);
+                    let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+                    prop_assert_eq!(
+                        &got, &expect,
+                        "k={} s={} p={} {}x{} c={} M={} {:?} n={} on {}",
+                        k, stride, pad, h, w, c, levels, scaling, n, backend.name()
+                    );
+                }
+            }
+        }
+    }
+
     /// Every conv geometry in a sweep computes bit for bit what the
     /// bounds-checked oracle computes, on every compiled-in backend:
     /// kernel 1–3 × stride 1–3 × pad 0–2 × every map from 1×1 to 9×9
