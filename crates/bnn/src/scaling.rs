@@ -561,9 +561,8 @@ mod tests {
         }
     }
 
-    /// The per-pixel sliding filter every map came from before its
-    /// rows became sweeps; the bit-level reference for
-    /// [`box_filter_sliding_into`].
+    /// The sliding filter summed one output pixel at a time: the
+    /// bit-level reference for [`box_filter_sliding_into`]'s row sweeps.
     #[allow(clippy::too_many_arguments)]
     fn box_filter_reference(
         plane: &[f32],
