@@ -15,7 +15,7 @@
 //! ([`pack_affine_mean`]) has its own vector bodies.  Every other pass
 //! of a conv — the B repack, the epilogue, the scale-map box filter —
 //! and the plan's residual merge are plain slice sweeps that
-//! [`isa::run`] compiles once per x86 backend's instruction set.
+//! `isa::run` compiles once per x86 backend's instruction set.
 //!
 //! Five implementations exist, selected **once** per
 //! [`ExecPlan`](crate::plan::ExecPlan) compile (not per call):
@@ -34,7 +34,7 @@
 //! * [`KernelBackend::Avx512`] — native per-lane popcount
 //!   (`vpopcntdq`) on 512-bit lanes, 16 pixels × up to 4 filters;
 //!   requires `avx512f` and `avx512vpopcntdq`, plus `avx512bw`,
-//!   `avx512dq` and `avx512vl` for the passes [`isa::run`] compiles
+//!   `avx512dq` and `avx512vl` for the passes `isa::run` compiles
 //!   around it.
 //! * [`KernelBackend::Neon`] — AArch64 `vcntq_u8` byte popcount with
 //!   pairwise widening reduction, 4 pixels × up to 4 filters.
@@ -118,7 +118,7 @@ impl KernelBackend {
     }
 
     /// Whether this backend can run on the current CPU: every feature
-    /// its kernels and its [`isa::run`] instantiation enable is present.
+    /// its kernels and its `isa::run` instantiation enable is present.
     pub fn is_supported(self) -> bool {
         match self {
             KernelBackend::Scalar => true,

@@ -13,7 +13,7 @@
 //! filter) (`GemmPrep`), so border pixels come out bit for bit as a
 //! bounds-checked conv computes them.  Every pass of a conv — the
 //! binarize-pack, the scale-map box filter, the B repack, the GEMM and
-//! the one-sweep epilogue — runs inside one [`isa::Pass`], so the plain
+//! the one-sweep epilogue — runs inside one `kernels::isa::Pass`, so the plain
 //! slice sweeps compile at the dispatched backend's SIMD width.
 //! [`xnor_conv2d`] exposes the engine on raw bit tensors.
 //!
@@ -122,7 +122,7 @@ struct LevelFilters<'a> {
 /// amortizing the pack cost over every filter block × residual level.
 const GEMM_TILE: usize = 1024;
 
-/// [`conv_levels`] as an [`isa::Pass`], for [`xnor_conv2d_backend`].
+/// [`conv_levels`] as an `kernels::isa::Pass`, for [`xnor_conv2d_backend`].
 struct ConvPass<'a> {
     backend: KernelBackend,
     in_words: &'a [u64],
@@ -1120,7 +1120,7 @@ impl PackedConv {
     /// Every output pixel of all `n` items then runs through one
     /// bit-sliced XNOR-GEMM, border pixels included, at every batch
     /// size (see the module docs).  The whole call is one
-    /// [`isa::Pass`], compiled for the prep's backend.
+    /// `kernels::isa::Pass`, compiled for the prep's backend.
     ///
     /// # Panics
     ///
@@ -1311,7 +1311,7 @@ impl<'a> Binarized<'a> {
     }
 }
 
-/// One [`PackedConv::forward_prepped`] call as an [`isa::Pass`]: the
+/// One [`PackedConv::forward_prepped`] call as an `kernels::isa::Pass`: the
 /// binarize-pack, the box filter, the B repack, the GEMM and the
 /// epilogue, all compiled for the prep's backend.
 struct ForwardPass<'a> {
