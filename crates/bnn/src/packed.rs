@@ -522,8 +522,8 @@ struct GemmPrep {
 impl GemmPrep {
     /// Repacks one filter plane per residual level, level 0 first, and
     /// builds its bias rows for `geom`'s border classes — in
-    /// O(filters × classes) adds from per-tap popcounts, then one write
-    /// per row entry.
+    /// O(filters × classes) adds from per-tap popcounts, then one fill
+    /// per run of same-class columns.
     fn new(geom: &ConvGeometry, levels: &[&BitFilter]) -> GemmPrep {
         let (kh, kw, ow) = (geom.kh, geom.kw, geom.ow);
         let (rows, cols) = (geom.row_classes(), geom.col_classes());
@@ -535,6 +535,14 @@ impl GemmPrep {
         let mut pc = vec![0i32; kh * kw * k];
         // `bias[cc · k + f]` for the row class being expanded.
         let mut bias = vec![0i32; cols.count() * k];
+        // The output row as (column class, run length), left to right.
+        let mut col_runs: Vec<(usize, usize)> = Vec::new();
+        for ox in 0..ow {
+            match col_runs.last_mut() {
+                Some((cc, len)) if *cc == cols.class(ox) => *len += 1,
+                _ => col_runs.push((cols.class(ox), 1)),
+            }
+        }
         for filter in levels {
             dense_filter_words(filter, &mut a, &mut pc);
             for rc in 0..rows.count() {
@@ -555,7 +563,9 @@ impl GemmPrep {
                     }
                 }
                 for f in 0..k {
-                    bias_rows.extend((0..ow).map(|ox| bias[cols.class(ox) * k + f]));
+                    for &(cc, len) in &col_runs {
+                        bias_rows.resize(bias_rows.len() + len, bias[cc * k + f]);
+                    }
                 }
             }
         }
