@@ -1126,7 +1126,7 @@ impl PackedConv {
     /// no normalized f32 tensor is ever materialized: PlainSign packs
     /// through exact per-channel threshold rules; the scaled modes use
     /// one fused pass that packs and accumulates the `|T_in|` channel
-    /// mean together, then box-filters it with the O(1) sliding window.
+    /// mean together, then box-filters it with the sliding window.
     /// Every output pixel of all `n` items then runs through one
     /// bit-sliced XNOR-GEMM, border pixels included, at every batch
     /// size (see the module docs).  The whole call is one
@@ -1321,8 +1321,8 @@ impl<'a> Binarized<'a> {
     }
 }
 
-/// One [`PackedConv::forward_prepped`] call as an `kernels::isa::Pass`: the
-/// binarize-pack, the box filter, the B repack, the GEMM and the
+/// One [`PackedConv::forward_prepped`] call as a `kernels::isa::Pass`:
+/// the binarize-pack, the box filter, the B repack, the GEMM and the
 /// epilogue, all compiled for the prep's backend.
 struct ForwardPass<'a> {
     conv: &'a PackedConv,
